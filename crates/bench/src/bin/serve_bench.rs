@@ -415,14 +415,13 @@ fn run() -> Result<(), BenchError> {
         .set_int("steady_alloc_bytes", engine.steady_alloc_bytes() as i64);
 
     // ── Cluster scaling curve: the same request stream through 1/2/4/8
-    // shard clusters on the machine-resolved data plane (persistent
-    // shard workers when the pool has threads to pin them on, inline on
-    // a single core). The driver uses the zero-allocation `submit_ref`
-    // intake and never waits on a shard inside a tick, so the curve
-    // measures the data plane, not the driver; the `cluster_scaling_8x`
-    // record is the 8-shard / 1-shard ns ratio ×1000 (lower is better),
-    // which CI gates so a change that serializes shard dispatch shows up
-    // as a regression.
+    // shard clusters, each shard ticked in turn on this thread. The
+    // driver uses the zero-allocation `submit_ref` intake, so the curve
+    // measures routing, admission and per-shard dispatch, not request
+    // construction; the `cluster_scaling_8x` record is the 8-shard /
+    // 1-shard ns ratio ×1000 (lower is better), which CI gates so a
+    // change that inflates the per-shard cost of the cluster layer shows
+    // up as a regression.
     let mut shard_ns = Vec::new();
     for &shards in &[1usize, 2, 4, 8] {
         let ccfg = ClusterConfig {
@@ -434,12 +433,6 @@ fn run() -> Result<(), BenchError> {
         let mut cluster = Cluster::new(&model, data.graphs, data.vectors, ccfg);
         for s in 0..shards {
             cluster.engine_mut(s).warm(&prep);
-        }
-        if shards == 8 {
-            man.set_int(
-                "cluster_data_plane_workers",
-                (cluster.data_plane() == mga_serve::DataPlane::Workers) as i64,
-            );
         }
         // Bursts scale with the shard count so every shard sees full
         // micro-batches; total request count is fixed.

@@ -110,8 +110,8 @@ struct FlightSummary {
     /// Request count per disposition tag (served / redirected / shed_*…)
     /// — the overload story of the run, straight from the flight dumps.
     dispositions: BTreeMap<String, u64>,
-    /// Request count per batch-cut reason (full / wait / slo_cut /
-    /// flush) — how the adaptive batcher actually decided.
+    /// Request count per batch-cut reason (full / wait / flush / sync)
+    /// — how the batcher actually decided.
     batch_modes: BTreeMap<String, u64>,
 }
 
@@ -243,9 +243,9 @@ fn render_metrics(snap: &Snapshot) {
     render_cluster(snap);
 }
 
-/// Adaptive-batching view: the chosen micro-batch width distribution
+/// Batching view: the chosen micro-batch width distribution
 /// (fixed-bucket `serve.batch.size` histogram as a bar chart) and the
-/// cut-reason counters — full batch, timed-out wait, SLO cut, flush.
+/// cut-reason counters — full batch, timed-out wait, flush.
 fn render_batching(snap: &Snapshot) {
     let Some(h) = snap.hists.get("serve.batch.size") else {
         return;
@@ -253,7 +253,7 @@ fn render_batching(snap: &Snapshot) {
     if h.count == 0 {
         return;
     }
-    println!("\n── adaptive batching ──");
+    println!("\n── batching ──");
     let max = h.buckets.iter().copied().max().unwrap_or(0).max(1);
     for (i, &n) in h.buckets.iter().enumerate() {
         let label = match h.bounds.get(i) {
@@ -263,10 +263,9 @@ fn render_batching(snap: &Snapshot) {
         let bar = "#".repeat((n * 40 / max) as usize);
         println!("batch {label:<6} {n:>10}  {bar}");
     }
-    const MODES: [(&str, &str); 4] = [
+    const MODES: [(&str, &str); 3] = [
         ("serve.batch.mode.full", "cut: full batch"),
         ("serve.batch.mode.wait", "cut: wait timeout"),
-        ("serve.batch.mode.slo_cut", "cut: SLO estimate"),
         ("serve.batch.mode.flush", "cut: flush"),
     ];
     let batches: f64 = MODES
@@ -298,29 +297,10 @@ fn render_cluster(snap: &Snapshot) {
         return;
     }
     println!("\n── cluster overload view ──");
-    // Worker-plane gauges exist only when the cluster ran persistent
-    // shard workers; the inline plane renders the shorter table.
-    let workers = snap
-        .gauges
-        .get("serve.cluster.data_plane")
-        .copied()
-        .unwrap_or(0.0)
-        >= 1.0;
     println!(
-        "data plane               {}",
-        if workers { "workers" } else { "inline" }
+        "{:<8} {:>12} {:>10} {:>11}",
+        "shard", "queue_depth", "health", "plan_epoch"
     );
-    if workers {
-        println!(
-            "{:<8} {:>12} {:>10} {:>11} {:>8} {:>10} {:>10}",
-            "shard", "queue_depth", "health", "plan_epoch", "util", "ring_occ", "cmds"
-        );
-    } else {
-        println!(
-            "{:<8} {:>12} {:>10} {:>11}",
-            "shard", "queue_depth", "health", "plan_epoch"
-        );
-    }
     for s in &shards {
         let g = |suffix: &str| {
             snap.gauges
@@ -333,24 +313,12 @@ fn render_cluster(snap: &Snapshot) {
             1 => "degraded",
             _ => "down",
         };
-        if workers {
-            println!(
-                "{s:<8} {:>12.0} {:>10} {:>11.0} {:>7.1}% {:>10.0} {:>10.0}",
-                g("queue_depth"),
-                health,
-                g("plan_epoch"),
-                100.0 * g("worker.utilization"),
-                g("worker.ring_occupancy"),
-                g("worker.cmds"),
-            );
-        } else {
-            println!(
-                "{s:<8} {:>12.0} {:>10} {:>11.0}",
-                g("queue_depth"),
-                health,
-                g("plan_epoch")
-            );
-        }
+        println!(
+            "{s:<8} {:>12.0} {:>10} {:>11.0}",
+            g("queue_depth"),
+            health,
+            g("plan_epoch")
+        );
     }
     for key in [
         "serve.shed_total",

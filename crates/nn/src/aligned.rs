@@ -130,42 +130,6 @@ impl Default for AlignedVec {
     }
 }
 
-/// Pads (and aligns) `T` to a full 64-byte cache line so adjacent
-/// instances never share one. Producer/consumer cursor pairs (the SPSC
-/// rings in [`crate::spsc`]) put each cursor in its own line to avoid
-/// the false-sharing ping-pong that otherwise dominates cross-core
-/// queue cost.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-impl<T> CachePadded<T> {
-    pub const fn new(value: T) -> CachePadded<T> {
-        CachePadded { value }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.value
-    }
-}
-
-impl<T> Deref for CachePadded<T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> DerefMut for CachePadded<T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.cap > 0 {
@@ -266,17 +230,5 @@ mod tests {
         let b = a.take();
         assert_eq!(b.len(), 9);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn cache_padded_occupies_full_lines() {
-        use std::sync::atomic::AtomicU64;
-        assert_eq!(std::mem::align_of::<CachePadded<AtomicU64>>(), 64);
-        assert!(std::mem::size_of::<CachePadded<AtomicU64>>() >= 64);
-        let pair = [CachePadded::new(0u64), CachePadded::new(1u64)];
-        let a = &*pair[0] as *const u64 as usize;
-        let b = &*pair[1] as *const u64 as usize;
-        assert!(b - a >= 64, "adjacent padded cells share a cache line");
-        assert_eq!(CachePadded::new(7u32).into_inner(), 7);
     }
 }

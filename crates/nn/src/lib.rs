@@ -22,9 +22,6 @@
 //! * [`simd`] — register-blocked AVX2 microkernels with a bitwise-
 //!   identical scalar fallback and per-shape dispatch (`MGA_SIMD=0`
 //!   kill switch),
-//! * [`spsc`] — bounded lock-free single-producer/single-consumer rings
-//!   (cache-line-padded cursors; the serving cluster's per-shard
-//!   intake/response channels),
 //! * [`quant`] — bf16 and int8 weight quantization for frozen inference
 //!   plans,
 //! * [`ew`] — chunked elementwise kernels the tape's fused forward and
@@ -54,7 +51,6 @@ pub mod quant;
 pub mod scaler;
 pub mod segment;
 pub mod simd;
-pub mod spsc;
 pub mod tape;
 pub mod tensor;
 

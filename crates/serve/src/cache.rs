@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use mga_core::model::{FusionModel, PreparedBatch};
+use mga_obs::metrics::{self, Counter};
 
 /// Fixed-capacity cache of fused static-embedding rows, keyed by kernel
 /// id. Storage is one flat `capacity × dim` slab allocated up front;
@@ -11,7 +12,9 @@ use mga_core::model::{FusionModel, PreparedBatch};
 /// fully deterministic, so serving runs replay exactly.
 ///
 /// Hits, misses and evictions are counted in the `mga-obs` registry
-/// (`serve.cache_hits` / `serve.cache_misses` / `serve.cache_evictions`).
+/// (`serve.cache_hits` / `serve.cache_misses` / `serve.cache_evictions`)
+/// through handles interned at construction, so a lookup never takes
+/// the registry lock.
 pub struct EmbeddingCache {
     dim: usize,
     slots: Vec<f32>,
@@ -23,6 +26,15 @@ pub struct EmbeddingCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+    m: CacheMetrics,
+}
+
+/// Interned `serve.cache_*` registry counters: the process-wide view of
+/// [`EmbeddingCache::stats`], summed over every cache in the process.
+struct CacheMetrics {
+    hits: &'static Counter,
+    misses: &'static Counter,
+    evictions: &'static Counter,
 }
 
 const FREE: usize = usize::MAX;
@@ -43,6 +55,11 @@ impl EmbeddingCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            m: CacheMetrics {
+                hits: metrics::counter("serve.cache_hits"),
+                misses: metrics::counter("serve.cache_misses"),
+                evictions: metrics::counter("serve.cache_evictions"),
+            },
         }
     }
 
@@ -80,13 +97,13 @@ impl EmbeddingCache {
         match self.map.get(&kernel) {
             Some(&slot) => {
                 self.hits += 1;
-                mga_obs::metrics::counter("serve.cache_hits").inc();
+                self.m.hits.inc();
                 self.slot_last_use[slot] = self.clock;
                 Some(&self.slots[slot * self.dim..(slot + 1) * self.dim])
             }
             None => {
                 self.misses += 1;
-                mga_obs::metrics::counter("serve.cache_misses").inc();
+                self.m.misses.inc();
                 None
             }
         }
@@ -130,7 +147,7 @@ impl EmbeddingCache {
             }
         }
         self.evictions += 1;
-        mga_obs::metrics::counter("serve.cache_evictions").inc();
+        self.m.evictions.inc();
         self.map.remove(&self.slot_kernel[victim]);
         self.slot_kernel[victim] = FREE;
         victim

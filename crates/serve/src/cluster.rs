@@ -24,25 +24,12 @@
 //!    (`tests/cluster_chaos.rs`) replays whole failure scenarios and
 //!    checksums bitwise-identical responses.
 //!
-//! Shard dispatch runs on one of two data planes ([`DataPlane`]):
-//!
-//! * **Inline** — the caller thread drives every engine itself (serial,
-//!   or fork-join on the worker pool per tick). Zero threads, zero
-//!   rings; right for single-core boxes and small clusters.
-//! * **Workers** — one *persistent* thread per shard, fed by lock-free
-//!   SPSC command rings (`crate::worker`): submits, ticks and flushes
-//!   stream to each shard, responses stream back, and shards run ahead
-//!   independently between synchronization epochs (drain, evacuation,
-//!   swap, metrics) instead of barriering every tick. Admission reads a
-//!   caller-side queue mirror driven by the same
-//!   [`crate::engine::dispatch_due`] policy the engines run, so every
-//!   decision — and every served byte — is bitwise identical to the
-//!   inline plane. `serve_bench` records the 1→8 scaling curve.
-//!
-//! `DataPlane::Auto` (the default) picks workers when both the machine
-//! (pool threads > 1) and the cluster (shards > 1) can use them; the
-//! `MGA_SERVE_PLANE` environment variable (`inline` / `workers`)
-//! overrides the auto choice without touching code.
+//! Shard dispatch runs on the calling thread: each [`Cluster::tick`]
+//! loops over the live, unstalled shards in shard order and ticks their
+//! engines one after another. No threads, no rings, no per-tick fork:
+//! on a 2-vCPU host serial dispatch measured faster than both a
+//! persistent per-shard worker plane and a per-tick fork-join over the
+//! worker pool at 2, 4 and 8 shards (DESIGN.md § Cluster dispatch).
 //!
 //! Failure machinery rides the existing `MGA_FAULT` sites: `shard:crash`
 //! kills a shard at a tick boundary (queue evacuated, health `Down`),
@@ -64,7 +51,6 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::Ordering;
 
 use mga_core::model::FusionModel;
 use mga_core::persist::{self, PersistError};
@@ -78,7 +64,6 @@ use crate::error::{ServeError, SwapError};
 use crate::flight::{Disposition, FlightRecord, FlightRecorder};
 use crate::plan::InferencePlan;
 use crate::router::{Router, DEFAULT_VNODES};
-use crate::worker::ShardChannel;
 
 /// Shard health, as admission sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,21 +97,6 @@ impl Health {
     }
 }
 
-/// Which data plane drives shard dispatch (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataPlane {
-    /// Pick at construction: [`DataPlane::Workers`] when the pool has
-    /// more than one thread *and* the cluster more than one shard,
-    /// otherwise [`DataPlane::Inline`]. The `MGA_SERVE_PLANE`
-    /// environment variable (`inline` / `workers`) overrides the auto
-    /// choice; an explicit config setting beats both.
-    Auto,
-    /// Caller-thread dispatch (fork-join on the pool per tick).
-    Inline,
-    /// Persistent per-shard worker threads fed by SPSC command rings.
-    Workers,
-}
-
 /// Cluster shape and per-shard policy.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -139,9 +109,6 @@ pub struct ClusterConfig {
     pub queue_capacity: usize,
     /// How many ticks a `shard:stall` fault freezes dispatch.
     pub stall_ticks: u64,
-    /// Shard dispatch plane. [`DataPlane::Auto`] (the default) resolves
-    /// from the machine; both planes serve bitwise-identical bytes.
-    pub data_plane: DataPlane,
     /// Per-shard engine policy (batching, cache, telemetry). Its
     /// `queue_capacity` is overridden by the cluster's.
     pub serve: ServeConfig,
@@ -154,45 +121,9 @@ impl Default for ClusterConfig {
             vnodes: DEFAULT_VNODES,
             queue_capacity: 64,
             stall_ticks: 3,
-            data_plane: DataPlane::Auto,
             serve: ServeConfig::default(),
         }
     }
-}
-
-/// Resolve the configured plane against the environment and machine. An
-/// explicit config choice wins; `MGA_SERVE_PLANE` steers `Auto` (so a
-/// test pinning a plane in config is immune to a suite-wide override);
-/// an unsteered `Auto` takes workers only when they can actually help.
-fn resolve_plane(configured: DataPlane, shards: usize) -> DataPlane {
-    let plane = match configured {
-        DataPlane::Auto => match std::env::var("MGA_SERVE_PLANE")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            Some("inline") | Some("0") => DataPlane::Inline,
-            Some("workers") | Some("worker") | Some("1") => DataPlane::Workers,
-            _ => DataPlane::Auto,
-        },
-        explicit => explicit,
-    };
-    match plane {
-        DataPlane::Auto => {
-            if shards > 1 && mga_nn::pool::num_threads() > 1 {
-                DataPlane::Workers
-            } else {
-                DataPlane::Inline
-            }
-        }
-        resolved => resolved,
-    }
-}
-
-/// Intake-ring slots per shard worker: enough run-ahead to cover the
-/// queue plus tick markers, bounded so slab memory stays modest.
-fn ring_capacity(queue_capacity: usize) -> usize {
-    queue_capacity.saturating_mul(2).clamp(64, 8192)
 }
 
 /// Interned per-shard gauges. Metric names are `&'static str`, so shard
@@ -202,11 +133,6 @@ struct ShardMetrics {
     queue_depth: &'static Gauge,
     health: &'static Gauge,
     plan_epoch: &'static Gauge,
-    /// Worker-plane gauges (0 when inline): busy fraction since spawn,
-    /// intake-ring occupancy at publish time, commands processed.
-    worker_utilization: &'static Gauge,
-    ring_occupancy: &'static Gauge,
-    worker_cmds: &'static Gauge,
 }
 
 impl ShardMetrics {
@@ -218,28 +144,17 @@ impl ShardMetrics {
             queue_depth: metrics::gauge(name("queue_depth")),
             health: metrics::gauge(name("health")),
             plan_epoch: metrics::gauge(name("plan_epoch")),
-            worker_utilization: metrics::gauge(name("worker.utilization")),
-            ring_occupancy: metrics::gauge(name("worker.ring_occupancy")),
-            worker_cmds: metrics::gauge(name("worker.cmds")),
         }
     }
 }
 
 struct Shard<'a> {
-    /// Worker-plane command channel (`None` on the inline plane).
-    /// Declared before `engine`: the channel's `Drop` joins the worker
-    /// thread, which holds a raw pointer to `engine` — field drop order
-    /// is the safety argument.
-    channel: Option<ShardChannel>,
     engine: Engine<'a>,
     health: Health,
     /// Ticks dispatch stays frozen (injected stall).
     stall_remaining: u64,
     /// Drift-event count at the last health refresh; growth marks the
-    /// shard `Degraded` for a tick. Inline reads the engine directly;
-    /// the worker plane reads the worker's published count (the health
-    /// signal is observational, so an eventually-consistent view is
-    /// fine — admission never keys off drift health).
+    /// shard `Degraded` for a tick.
     drift_seen: usize,
     m: ShardMetrics,
 }
@@ -251,9 +166,6 @@ pub struct Cluster<'a> {
     /// Precomputed kernel → owner shard (the ring walk's first hop),
     /// replacing a per-submit binary search over the vnode ring.
     route_table: Vec<u32>,
-    /// Resolved at construction: [`DataPlane::Inline`] or
-    /// [`DataPlane::Workers`], never `Auto`.
-    plane: DataPlane,
     cfg: ClusterConfig,
     graphs: &'a [ProGraph],
     vectors: &'a [Vec<f32>],
@@ -267,6 +179,7 @@ pub struct Cluster<'a> {
     shed_total: &'static Counter,
     redirect_total: &'static Counter,
     reroute_total: &'static Counter,
+    overflow_depth: &'static Gauge,
     accepted: u64,
     answered: u64,
     /// Scratch for admission views / candidate order / evacuations.
@@ -292,40 +205,21 @@ impl<'a> Cluster<'a> {
         );
         let mut ecfg = cfg.serve.clone();
         ecfg.queue_capacity = cfg.queue_capacity;
-        let plane = resolve_plane(cfg.data_plane, cfg.shards);
-        let mut shards: Vec<Shard<'a>> = (0..cfg.shards)
+        let shards = (0..cfg.shards)
             .map(|i| Shard {
                 engine: Engine::new(model, graphs, vectors, ecfg.clone()),
                 health: Health::Healthy,
                 stall_remaining: 0,
                 drift_seen: 0,
-                channel: None,
                 m: ShardMetrics::new(i),
             })
             .collect();
-        if plane == DataPlane::Workers {
-            // Workers hold raw engine pointers: the engines live in the
-            // `shards` Vec's heap buffer, which never reallocates (the
-            // Vec is never grown) and outlives every worker — each
-            // `ShardChannel`'s `Drop` joins its worker before the
-            // engine field it points at is freed (see `Shard`'s field
-            // order). Moving the Vec into the Cluster below moves only
-            // its header.
-            let plan = shards[0].engine.plan();
-            let aux_dim = plan.in_dim() - plan.static_dim();
-            let cap = ring_capacity(cfg.queue_capacity);
-            for (i, s) in shards.iter_mut().enumerate() {
-                let engine: *mut Engine<'a> = &mut s.engine;
-                s.channel = Some(ShardChannel::spawn(engine, aux_dim, cap, ecfg.telemetry, i));
-            }
-        }
         let router = Router::new(cfg.shards, cfg.vnodes);
         let route_table = (0..graphs.len()).map(|k| router.route(k) as u32).collect();
         Cluster {
             shards,
             router,
             route_table,
-            plane,
             graphs,
             vectors,
             tick: 0,
@@ -338,6 +232,7 @@ impl<'a> Cluster<'a> {
             shed_total: metrics::counter("serve.shed_total"),
             redirect_total: metrics::counter("serve.redirect_total"),
             reroute_total: metrics::counter("serve.reroute_total"),
+            overflow_depth: metrics::gauge("serve.cluster.overflow_depth"),
             accepted: 0,
             answered: 0,
             views: Vec::with_capacity(cfg.shards),
@@ -363,36 +258,16 @@ impl<'a> Cluster<'a> {
         &self.router
     }
 
-    /// The resolved dispatch plane ([`DataPlane::Inline`] or
-    /// [`DataPlane::Workers`], never `Auto`).
-    pub fn data_plane(&self) -> DataPlane {
-        self.plane
-    }
-
-    /// A shard's engine (plan, cache, flight ring). On the worker plane
-    /// this is a synchronization epoch: the shard's command stream is
-    /// quiesced first, and the borrow keeps new commands out until it
-    /// ends.
+    /// A shard's engine (plan, cache, flight ring).
     pub fn engine(&self, shard: usize) -> &Engine<'a> {
-        let s = &self.shards[shard];
-        if let Some(ch) = &s.channel {
-            ch.quiesce();
-        }
-        &s.engine
+        &self.shards[shard].engine
     }
 
     /// A shard's engine, mutably (cache warming, direct inspection).
-    /// Worker plane: quiesces first, same epoch rules as
-    /// [`Cluster::engine`]. Callers must not grow or drain the engine's
-    /// queue through this handle on the worker plane — the caller-side
-    /// queue mirror would diverge (serve-path mutation belongs to
-    /// [`Cluster::submit`] / [`Cluster::tick`]).
+    /// Serve-path mutation belongs to [`Cluster::submit`] /
+    /// [`Cluster::tick`].
     pub fn engine_mut(&mut self, shard: usize) -> &mut Engine<'a> {
-        let s = &mut self.shards[shard];
-        if let Some(ch) = &s.channel {
-            ch.quiesce();
-        }
-        &mut s.engine
+        &mut self.shards[shard].engine
     }
 
     /// A shard's health.
@@ -400,19 +275,9 @@ impl<'a> Cluster<'a> {
         self.shards[shard].health
     }
 
-    /// A shard's queued-but-unserved depth, as admission sees it (the
-    /// caller-side mirror on the worker plane — exact, no sync needed).
+    /// A shard's queued-but-unserved depth, as admission sees it.
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.depth(shard)
-    }
-
-    /// Queue depth from the plane-appropriate source.
-    fn depth(&self, shard: usize) -> usize {
-        let s = &self.shards[shard];
-        match &s.channel {
-            Some(ch) => ch.mirror.depth(),
-            None => s.engine.queue_depth(),
-        }
+        self.shards[shard].engine.queue_depth()
     }
 
     /// Accepted-but-unplaced requests waiting for queue room.
@@ -439,18 +304,14 @@ impl<'a> Cluster<'a> {
     }
 
     fn refresh_views(&mut self) {
-        let mut views = std::mem::take(&mut self.views);
-        views.clear();
-        for i in 0..self.shards.len() {
-            let s = &self.shards[i];
-            views.push(ShardView {
-                depth: self.depth(i),
-                capacity: self.cfg.queue_capacity,
-                down: s.health == Health::Down,
-                stall_remaining: s.stall_remaining,
-            });
-        }
-        self.views = views;
+        let capacity = self.cfg.queue_capacity;
+        self.views.clear();
+        self.views.extend(self.shards.iter().map(|s| ShardView {
+            depth: s.engine.queue_depth(),
+            capacity,
+            down: s.health == Health::Down,
+            stall_remaining: s.stall_remaining,
+        }));
     }
 
     /// Fill `self.cand` with the failover order for `kernel`, starting
@@ -497,9 +358,8 @@ impl<'a> Cluster<'a> {
     }
 
     /// [`Cluster::submit`] from borrowed parts — no [`Request`] built,
-    /// no `Vec<f32>` allocated on any plane: inline shards copy the aux
-    /// row into a recycled engine buffer ([`Engine::submit_slice`]),
-    /// worker shards write it into the shard's intake slab. This is the
+    /// no `Vec<f32>` allocated: the shard copies the aux row into a
+    /// recycled engine buffer ([`Engine::submit_slice`]). This is the
     /// zero-allocation intake path for drivers that own their request
     /// stream (benchmarks, replay harnesses, network frontends).
     pub fn submit_ref(
@@ -544,8 +404,8 @@ impl<'a> Cluster<'a> {
         // is the steady-state door; the slow path below is byte-for-byte
         // the same decision when the owner can't take it.
         {
-            let depth = self.depth(owner);
             let s = &self.shards[owner];
+            let depth = s.engine.queue_depth();
             if s.health != Health::Down && depth < self.cfg.queue_capacity {
                 let deadline_ok = match deadline_tick {
                     None => true,
@@ -604,8 +464,8 @@ impl<'a> Cluster<'a> {
         }
     }
 
-    /// Enqueue an accepted request on `shard`, whichever plane drives
-    /// it. Room and kernel were checked by admission.
+    /// Enqueue an accepted request on `shard`. Room and kernel were
+    /// checked by admission.
     fn enqueue_on(
         &mut self,
         shard: usize,
@@ -614,18 +474,12 @@ impl<'a> Cluster<'a> {
         aux: &[f32],
         owned: Option<Request>,
     ) {
-        let s = &mut self.shards[shard];
-        match &mut s.channel {
-            Some(ch) => {
-                let aux = owned.as_ref().map_or(aux, |r| r.aux.as_slice());
-                ch.submit(id, kernel, aux);
-            }
-            None => match owned {
-                Some(req) => s.engine.submit(req),
-                None => s.engine.submit_slice(id, kernel, aux),
-            }
-            .expect("admission checked kernel and room"),
+        let engine = &mut self.shards[shard].engine;
+        match owned {
+            Some(req) => engine.submit(req),
+            None => engine.submit_slice(id, kernel, aux),
         }
+        .expect("admission checked kernel and room");
     }
 
     /// Place an already-accepted request on any live shard with room
@@ -637,9 +491,8 @@ impl<'a> Cluster<'a> {
         self.build_candidates(req.kernel, self.route_table[req.kernel] as usize);
         for i in 0..self.cand.len() {
             let shard = self.cand[i];
-            if self.shards[shard].health == Health::Down
-                || self.depth(shard) >= self.cfg.queue_capacity
-            {
+            let s = &self.shards[shard];
+            if s.health == Health::Down || s.engine.queue_depth() >= self.cfg.queue_capacity {
                 continue;
             }
             let id = req.id;
@@ -659,7 +512,7 @@ impl<'a> Cluster<'a> {
                 self.overflow.push_back(back);
             }
         }
-        metrics::gauge("serve.cluster.overflow_depth").set(self.overflow.len() as f64);
+        self.overflow_depth.set(self.overflow.len() as f64);
     }
 
     /// Kill a shard: health `Down`, queue evacuated and rerouted to
@@ -674,17 +527,7 @@ impl<'a> Cluster<'a> {
         metrics::counter("serve.shard_down_total").inc();
         let mut evac = std::mem::take(&mut self.evac);
         evac.clear();
-        {
-            // Evacuation is a synchronization epoch on the worker plane:
-            // stop the command stream, then read the engine's queue
-            // directly (the mirror resets alongside it).
-            let s = &mut self.shards[shard];
-            if let Some(ch) = &mut s.channel {
-                ch.quiesce();
-                ch.mirror.evacuate();
-            }
-            s.engine.evacuate(&mut evac);
-        }
+        self.shards[shard].engine.evacuate(&mut evac);
         for req in evac.drain(..) {
             if let Some(back) = self.try_place(req) {
                 self.overflow.push_back(back);
@@ -705,9 +548,9 @@ impl<'a> Cluster<'a> {
     }
 
     /// Advance the cluster one logical tick: fire shard faults, retry
-    /// the overflow buffer, dispatch every live unstalled shard (on the
-    /// worker pool when it helps), then refresh health. Returns the
-    /// number of requests completed this tick.
+    /// the overflow buffer, dispatch every live unstalled shard, then
+    /// refresh health. Returns the number of requests completed this
+    /// tick.
     pub fn tick(&mut self) -> usize {
         self.tick += 1;
         if fault::armed() {
@@ -734,10 +577,7 @@ impl<'a> Cluster<'a> {
             if s.stall_remaining > 0 {
                 s.stall_remaining -= 1;
             }
-            let drift_len = match &s.channel {
-                Some(ch) => ch.shared.drift_len.load(Ordering::Relaxed),
-                None => s.engine.drift_events().len(),
-            };
+            let drift_len = s.engine.drift_events().len();
             let drifted = drift_len > s.drift_seen;
             s.drift_seen = drift_len;
             s.health = if s.stall_remaining > 0 || drifted {
@@ -749,79 +589,24 @@ impl<'a> Cluster<'a> {
         done
     }
 
-    /// Tick every live, unstalled engine.
-    ///
-    /// Worker plane: push one `Tick` command per live shard and return
-    /// the mirror's completion count — the caller never waits for the
-    /// engines, which run ahead independently until the next
-    /// synchronization epoch. Inline plane: drive the engines here
-    /// (fork-join on the worker pool when it helps). Both planes tick
-    /// the same shards in the same states, so served bytes match.
+    /// Tick every live, unstalled engine, in shard order, on the
+    /// calling thread.
     fn dispatch_live(&mut self) -> usize {
-        if self.plane == DataPlane::Workers {
-            let cfg = &self.cfg.serve;
-            let mut done = 0;
-            for s in &mut self.shards {
-                if s.health == Health::Down || s.stall_remaining > 0 {
-                    continue;
-                }
-                done += s.channel.as_mut().expect("workers plane").tick(cfg);
-            }
-            return done;
-        }
-        let live: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.health != Health::Down && s.stall_remaining == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut done = vec![0usize; live.len()];
-        if live.len() > 1 && mga_nn::pool::num_threads() > 1 {
-            let shards = mga_nn::pool::SendPtr::new(self.shards.as_mut_ptr());
-            let counts = mga_nn::pool::SendPtr::new(done.as_mut_ptr());
-            let live_ref = &live;
-            mga_nn::pool::parallel_for(live.len(), |i| {
-                let idx = live_ref[i];
-                // Safety: `live` holds distinct indices, so each task
-                // touches a disjoint Shard and a disjoint count slot.
-                unsafe {
-                    let shard = &mut *shards.get().add(idx);
-                    *counts.get().add(i) = shard.engine.tick();
-                }
-            });
-        } else {
-            for (slot, &idx) in live.iter().enumerate() {
-                done[slot] = self.shards[idx].engine.tick();
+        let mut done = 0;
+        for s in &mut self.shards {
+            if s.health != Health::Down && s.stall_remaining == 0 {
+                done += s.engine.tick();
             }
         }
-        done.iter().sum()
+        done
     }
 
     /// Drain completed responses from every shard, in shard order, into
-    /// `out`. Returns how many were moved. On the worker plane this is a
-    /// synchronization epoch: each shard's command stream quiesces, its
-    /// response ring empties first (oldest completions), then whatever
-    /// the ring could not hold comes straight off the engine — so the
-    /// per-shard order is exactly the inline plane's completion order.
+    /// `out`. Returns how many were moved.
     pub fn drain(&mut self, out: &mut Vec<Response>) -> usize {
         let mut n = 0;
         for s in &mut self.shards {
-            if let Some(ch) = &mut s.channel {
-                ch.quiesce();
-                while let Some(r) = ch.responses.try_pop() {
-                    out.push(r);
-                    n += 1;
-                }
-                n += s.engine.drain(out);
-                debug_assert_eq!(
-                    s.engine.queue_depth(),
-                    ch.mirror.depth(),
-                    "queue mirror must track the engine exactly"
-                );
-            } else {
-                n += s.engine.drain(out);
-            }
+            n += s.engine.drain(out);
         }
         self.answered += n as u64;
         n
@@ -840,17 +625,13 @@ impl<'a> Cluster<'a> {
             let overflow_before = self.overflow.len();
             self.retry_overflow();
             let mut moved = 0;
-            let cfg = &self.cfg.serve;
             for s in &mut self.shards {
                 if s.health != Health::Down {
-                    moved += match &mut s.channel {
-                        Some(ch) => ch.flush(cfg),
-                        None => s.engine.flush(),
-                    };
+                    moved += s.engine.flush();
                 }
             }
             done += moved;
-            if self.overflow.is_empty() && (0..self.shards.len()).all(|i| self.depth(i) == 0) {
+            if self.overflow.is_empty() && self.shards.iter().all(|s| s.engine.queue_depth() == 0) {
                 break;
             }
             if moved == 0 && self.overflow.len() == overflow_before {
@@ -881,14 +662,6 @@ impl<'a> Cluster<'a> {
         if shard >= n {
             return Err(SwapError::NoSuchShard { shard, shards: n });
         }
-        // Worker plane: a swap is a synchronization epoch. Quiesce before
-        // reading the serving plan — an in-flight tick could install a
-        // previously staged plan under us otherwise. No commands are
-        // issued between here and the install below, so the engine stays
-        // quiesced through the whole validation.
-        if let Some(ch) = &self.shards[shard].channel {
-            ch.quiesce();
-        }
         let current = self.shards[shard].engine.plan();
         let plan = InferencePlan::compile_with(candidate, current.precision());
         let gate = [
@@ -906,14 +679,8 @@ impl<'a> Cluster<'a> {
                 });
             }
         }
-        for (hi, (&expected, &got)) in current
-            .head_sizes()
-            .iter()
-            .zip(plan.head_sizes())
-            .enumerate()
-        {
+        for (&expected, &got) in current.head_sizes().iter().zip(plan.head_sizes()) {
             if expected != got {
-                let _ = hi;
                 return Err(SwapError::Shape {
                     field: "head_sizes",
                     expected,
@@ -949,53 +716,21 @@ impl<'a> Cluster<'a> {
                 detail: "out-of-range class decision on probe input".into(),
             });
         }
-        let s = &mut self.shards[shard];
-        if let Some(ch) = &mut s.channel {
-            // Mirror the swap clamp: until the pre-swap backlog drains,
-            // each micro-batch is capped at the old plan's pending count
-            // ([`Engine::swap_plan`] does the same on the engine side).
-            ch.mirror.stage_swap();
-        }
-        s.engine.swap_plan(plan, candidate);
+        self.shards[shard].engine.swap_plan(plan, candidate);
         Ok(())
     }
 
     /// Publish cluster gauges: per-shard `serve.shard.<i>.queue_depth` /
     /// `.health` (0 healthy / 1 degraded / 2 down) / `.plan_epoch`, plus
-    /// `serve.cluster.shards`, `serve.cluster.overflow_depth` and
-    /// `serve.cluster.data_plane` (0 inline / 1 workers). Worker shards
-    /// also publish `.worker.utilization` (busy fraction since spawn),
-    /// `.worker.ring_occupancy` and `.worker.cmds`; a metrics pass is a
-    /// synchronization epoch there (quiesce, then read the engine).
+    /// `serve.cluster.shards` and `serve.cluster.overflow_depth`.
     pub fn publish_metrics(&self) {
         for s in &self.shards {
-            if let Some(ch) = &s.channel {
-                ch.quiesce();
-                s.m.queue_depth.set(ch.mirror.depth() as f64);
-                let cmds = ch.shared.cmds.load(Ordering::Relaxed);
-                s.m.worker_cmds.set(cmds as f64);
-                s.m.ring_occupancy.set(ch.occupancy() as f64);
-                let busy = ch.shared.busy_ns.load(Ordering::Relaxed);
-                let start = ch.shared.start_ns.load(Ordering::Relaxed);
-                let elapsed = mga_obs::clock::now_ns().saturating_sub(start);
-                let util = if elapsed > 0 {
-                    (busy as f64 / elapsed as f64).min(1.0)
-                } else {
-                    0.0
-                };
-                s.m.worker_utilization.set(util);
-            } else {
-                s.m.queue_depth.set(s.engine.queue_depth() as f64);
-            }
+            s.m.queue_depth.set(s.engine.queue_depth() as f64);
             s.m.health.set(s.health.gauge_value());
             s.m.plan_epoch.set(s.engine.plan_epoch() as f64);
         }
         metrics::gauge("serve.cluster.shards").set(self.shards.len() as f64);
-        metrics::gauge("serve.cluster.overflow_depth").set(self.overflow.len() as f64);
-        metrics::gauge("serve.cluster.data_plane").set(match self.plane {
-            DataPlane::Workers => 1.0,
-            _ => 0.0,
-        });
+        self.overflow_depth.set(self.overflow.len() as f64);
     }
 
     /// Write the admission flight ring (sheds/redirects/reroutes) as
@@ -1004,13 +739,6 @@ impl<'a> Cluster<'a> {
         self.flight.dump(w)
     }
 }
-
-// Cluster deliberately has no `Drop` impl: one would force every
-// borrow a caller hands it (e.g. a hot-swap candidate model declared
-// after the cluster) to strictly outlive the cluster's drop point.
-// Worker shutdown lives in [`ShardChannel`]'s `Drop` instead, which is
-// lifetime-free; `Shard` declares the channel before the engine so the
-// worker is joined before the engine it points at is freed.
 
 /// Load a hot-swap candidate checkpoint from disk. This is the
 /// `swap:corrupt` fault site: with it armed, a bit of the just-read

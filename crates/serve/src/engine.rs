@@ -51,15 +51,6 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Drift-monitor tuning (windows, EWMA weight, thresholds).
     pub drift: DriftConfig,
-    /// SLO-aware adaptive batching: when `Some(slo)`, a partial batch is
-    /// cut early ([`BatchMode::SloCut`]) the moment the admission-style
-    /// completion estimate for the front request overshoots
-    /// `enqueued + slo` ticks — shallow queues stop paying the full
-    /// `max_wait_ticks` for batching that is not coming, deep queues
-    /// still batch up to `max_batch` for GEMM efficiency. The policy is
-    /// deterministic in logical ticks (never wall-clock); `None` (the
-    /// default) keeps the fixed wait-timer policy bit-for-bit.
-    pub adaptive_slo_ticks: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -73,7 +64,6 @@ impl Default for ServeConfig {
             telemetry: true,
             flight_capacity: 4096,
             drift: DriftConfig::default(),
-            adaptive_slo_ticks: None,
         }
     }
 }
@@ -87,9 +77,6 @@ pub enum BatchMode {
     Full,
     /// The oldest request aged out (`max_wait_ticks`).
     WaitTimer,
-    /// Adaptive policy: waiting out the timer would blow the SLO, so the
-    /// partial batch went now.
-    SloCut,
     /// Forced dispatch outside the tick policy (`flush`, shutdown, or a
     /// staged swap draining via a synchronous call).
     Flush,
@@ -100,56 +87,9 @@ impl BatchMode {
         match self {
             BatchMode::Full => "full",
             BatchMode::WaitTimer => "wait",
-            BatchMode::SloCut => "slo_cut",
             BatchMode::Flush => "flush",
         }
     }
-}
-
-/// The batching policy, as a pure function of queue state and logical
-/// time: should a batch dispatch *now*, and why. This is the single
-/// source of truth shared by [`Engine::tick`] and the cluster's
-/// caller-side queue mirror (worker data plane) — both must form the
-/// exact same batches for replays to stay bitwise identical, so neither
-/// reimplements it.
-///
-/// `front_enqueued` is the enqueue tick of the oldest queued request
-/// (`None` when the queue is empty).
-#[inline]
-pub fn dispatch_due(
-    len: usize,
-    front_enqueued: Option<u64>,
-    now: u64,
-    cfg: &ServeConfig,
-) -> Option<BatchMode> {
-    if len >= cfg.max_batch {
-        return Some(BatchMode::Full);
-    }
-    let enq = front_enqueued?;
-    // `now > enq` in both timer arms: a request never dispatches inside
-    // its own submit tick except as part of a full batch.
-    if now > enq && now - enq >= cfg.max_wait_ticks {
-        return Some(BatchMode::WaitTimer);
-    }
-    if let Some(slo) = cfg.adaptive_slo_ticks {
-        if now > enq {
-            // Mirror the admission layer's completion estimate for this
-            // queue state: a partial batch that keeps waiting lands at
-            // the wait-timer horizon. If that already overshoots the
-            // front request's SLO budget, cut the batch now.
-            let eta = crate::admission::estimated_completion_tick(
-                now,
-                len,
-                cfg.max_batch,
-                cfg.max_wait_ticks,
-                0,
-            );
-            if eta > enq + slo {
-                return Some(BatchMode::SloCut);
-            }
-        }
-    }
-    None
 }
 
 /// One inference request: which kernel, and its dynamic (auxiliary)
@@ -202,7 +142,7 @@ struct HotMetrics {
     /// Chosen micro-batch widths (fixed-bucket; widths are small ints).
     batch_size: &'static metrics::Histogram,
     /// One counter per [`BatchMode`], indexed by discriminant.
-    batch_mode: [&'static Counter; 4],
+    batch_mode: [&'static Counter; 3],
 }
 
 impl HotMetrics {
@@ -225,7 +165,6 @@ impl HotMetrics {
             batch_mode: [
                 metrics::counter("serve.batch.mode.full"),
                 metrics::counter("serve.batch.mode.wait"),
-                metrics::counter("serve.batch.mode.slo_cut"),
                 metrics::counter("serve.batch.mode.flush"),
             ],
         }
@@ -470,8 +409,8 @@ impl<'a> Engine<'a> {
 
     /// [`Engine::submit`] from borrowed parts — no `Request` built, no
     /// `Vec<f32>` allocated: the aux row is copied into a recycled
-    /// buffer from the engine's spare pool. This is the cluster data
-    /// plane's intake path; it queues exactly what
+    /// buffer from the engine's spare pool. This is the cluster's
+    /// borrowed intake path; it queues exactly what
     /// `submit(Request { id, kernel, aux: aux.to_vec() })` would.
     pub fn submit_slice(&mut self, id: u64, kernel: usize, aux: &[f32]) -> Result<(), ServeError> {
         self.admit(id, kernel, aux, None)
@@ -608,14 +547,17 @@ impl<'a> Engine<'a> {
         done
     }
 
-    /// [`dispatch_due`] over the engine's own queue state.
+    /// The batching policy over the queue at the current tick: should a
+    /// batch dispatch *now*, and why. A full batch goes immediately; a
+    /// partial one once its oldest request has waited `max_wait_ticks`,
+    /// and never inside its own submit tick.
     fn due(&self) -> Option<BatchMode> {
-        dispatch_due(
-            self.queue.len(),
-            self.queue.front().map(|p| p.enqueued_tick),
-            self.tick,
-            &self.cfg,
-        )
+        if self.queue.len() >= self.cfg.max_batch {
+            return Some(BatchMode::Full);
+        }
+        let enq = self.queue.front()?.enqueued_tick;
+        (self.tick > enq && self.tick - enq >= self.cfg.max_wait_ticks)
+            .then_some(BatchMode::WaitTimer)
     }
 
     /// Dispatch everything still queued, regardless of wait policy
@@ -627,13 +569,6 @@ impl<'a> Engine<'a> {
         }
         self.lat.queue_depth.set(0.0);
         done
-    }
-
-    /// Pop the oldest completed response, if any — the worker data
-    /// plane's response-ring feed ([`Engine::drain`] moves everything at
-    /// once instead).
-    pub fn pop_completed(&mut self) -> Option<Response> {
-        self.completed.pop_front()
     }
 
     /// Move completed responses (in completion order) into `out`;

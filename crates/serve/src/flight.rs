@@ -102,8 +102,8 @@ pub struct FlightRecord {
     /// Size of the micro-batch it was served in (1 for the fast path).
     pub batch: u16,
     /// Why the batch dispatched when it did ([`crate::engine::BatchMode`]
-    /// tag: `"full"`, `"wait"`, `"slo_cut"`, `"flush"`; `"sync"` for the
-    /// `serve_one` fast path).
+    /// tag: `"full"`, `"wait"`, `"flush"`; `"sync"` for the `serve_one`
+    /// fast path).
     pub batch_mode: &'static str,
     /// Whether its static embedding was already resident (false = the
     /// slow GNN+DAE path ran).

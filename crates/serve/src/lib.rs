@@ -66,7 +66,8 @@
 //!   admit, redirect, or shed with a typed reason (queue full, deadline
 //!   unmeetable under the queue-depth estimate, shard down);
 //! * [`cluster::Cluster`] — N engine shards with bounded intake queues,
-//!   per-shard [`cluster::Health`], crash/stall fault handling with
+//!   ticked one after another on the calling thread, per-shard
+//!   [`cluster::Health`], crash/stall fault handling with
 //!   queue evacuation (zero accepted requests lost), and zero-drop hot
 //!   plan swaps with validation-gated rollback ([`cluster::Cluster::swap`],
 //!   [`cluster::load_candidate`]);
@@ -87,12 +88,11 @@ pub mod error;
 pub mod flight;
 pub mod plan;
 pub mod router;
-mod worker;
 
 pub use admission::{Decision, ShardView, ShedReason};
 pub use cache::EmbeddingCache;
-pub use cluster::{load_candidate, Cluster, ClusterConfig, DataPlane, Health};
-pub use engine::{dispatch_due, BatchMode, Engine, Request, Response, ServeConfig};
+pub use cluster::{load_candidate, Cluster, ClusterConfig, Health};
+pub use engine::{BatchMode, Engine, Request, Response, ServeConfig};
 pub use error::{ServeError, SwapError};
 pub use flight::{Disposition, FlightRecord, FlightRecorder};
 pub use plan::{InferencePlan, Precision};
