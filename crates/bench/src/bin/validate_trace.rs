@@ -22,7 +22,7 @@
 //!
 //! `--flight FILE` validates a flight-recorder dump (`MGA_FLIGHT`):
 //! every line is a well-formed `{"type":"request",...}` record (ids,
-//! ticks, batch, cache flag, precision tag, per-head classes/margins)
+//! ticks, batch, cache flag, per-head classes/margins)
 //! or `{"type":"drift",...}` event, and at least one request was
 //! recorded.
 //!
@@ -56,7 +56,7 @@ fn check_span_event(obj: &[(String, Json)], path: &str, line_no: usize) -> Resul
 }
 
 fn check_manifest(obj: &[(String, Json)], path: &str) -> Result<(), String> {
-    for key in ["schema_version", "name"] {
+    for key in ["schema_version", "name", "threads", "nproc", "simd"] {
         if !obj.iter().any(|(n, _)| n == key) {
             return Err(format!("{path}: manifest missing \"{key}\""));
         }
@@ -193,10 +193,6 @@ fn check_flight_line(obj: &[(String, Json)], path: &str, line_no: usize) -> Resu
             }
             if !matches!(get("cache_hit"), Some(Json::Bool(_))) {
                 return Err(format!("{path}:{line_no}: missing bool \"cache_hit\""));
-            }
-            match get("precision") {
-                Some(Json::Str(p)) if ["f32", "bf16", "int8"].contains(&p.as_str()) => {}
-                _ => return Err(format!("{path}:{line_no}: bad \"precision\" tag")),
             }
             let classes = match get("classes") {
                 Some(Json::Arr(a)) => a.len(),

@@ -102,12 +102,22 @@ pub fn parse_opts() -> RunOpts {
 }
 
 /// Start a run manifest for experiment `name`, pre-stamped with the
-/// shared run parameters (seed, quick/full, pool thread count).
+/// shared run parameters (seed, quick/full) and the machine shape: pool
+/// thread count (`MGA_THREADS`), available cores and the active SIMD
+/// backend.
 pub fn manifest(name: &str, opts: RunOpts) -> mga_obs::manifest::RunManifest {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let simd = if mga_nn::simd::simd_enabled() {
+        "avx2"
+    } else {
+        "scalar"
+    };
     let mut m = mga_obs::manifest::RunManifest::new(name);
     m.set_int("seed", opts.seed as i64)
         .set_bool("quick", opts.quick)
-        .set_int("threads", mga_nn::pool::num_threads() as i64);
+        .set_int("threads", mga_nn::pool::num_threads() as i64)
+        .set_int("nproc", nproc as i64)
+        .set_str("simd", simd);
     m
 }
 

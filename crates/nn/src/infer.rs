@@ -18,10 +18,9 @@ use crate::simd;
 use crate::tape::FusedAct;
 use crate::tensor::{self, Tensor};
 
-/// Row-broadcast bias + activation over `out` — the tail of every fused
-/// linear kernel (f32 or quantized), kept in one place so the activation
-/// expressions can never drift between backends.
-pub fn apply_bias_act(out: &mut [f32], brow: &[f32], act: FusedAct) {
+/// Row-broadcast bias + activation over `out` — the tail of the fused
+/// linear kernel.
+fn apply_bias_act(out: &mut [f32], brow: &[f32], act: FusedAct) {
     match act {
         FusedAct::Identity => ew::bias_act(out, brow, |z| z),
         FusedAct::Relu => ew::bias_act(out, brow, |z| z.max(0.0)),

@@ -22,8 +22,6 @@
 //! * [`simd`] — register-blocked AVX2 microkernels with a bitwise-
 //!   identical scalar fallback and per-shape dispatch (`MGA_SIMD=0`
 //!   kill switch),
-//! * [`quant`] — bf16 and int8 weight quantization for frozen inference
-//!   plans,
 //! * [`ew`] — chunked elementwise kernels the tape's fused forward and
 //!   in-place backward passes are built from,
 //! * [`params`] — parameter storage shared between layers and optimizers,
@@ -47,7 +45,6 @@ pub mod layers;
 pub mod optim;
 pub mod params;
 pub mod pool;
-pub mod quant;
 pub mod scaler;
 pub mod segment;
 pub mod simd;

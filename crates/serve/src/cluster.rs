@@ -650,7 +650,8 @@ impl<'a> Cluster<'a> {
     /// * shape gate — input width, static split, hidden width and head
     ///   layout must match the serving plan (the shard's traffic must
     ///   remain servable);
-    /// * health probe — the candidate plan runs end-to-end on a probe
+    /// * health probe — every trunk and head weight and bias must be
+    ///   finite, then the candidate plan runs end-to-end on a probe
     ///   kernel from the catalog; non-finite activations or an
     ///   out-of-range class decision reject it.
     ///
@@ -663,7 +664,7 @@ impl<'a> Cluster<'a> {
             return Err(SwapError::NoSuchShard { shard, shards: n });
         }
         let current = self.shards[shard].engine.plan();
-        let plan = InferencePlan::compile_with(candidate, current.precision());
+        let plan = InferencePlan::compile(candidate);
         let gate = [
             ("in_dim", current.in_dim(), plan.in_dim()),
             ("static_dim", current.static_dim(), plan.static_dim()),
@@ -687,6 +688,18 @@ impl<'a> Cluster<'a> {
                     got,
                 });
             }
+        }
+        // Weight scan: a single probe input cannot see every NaN weight
+        // (ReLU maps NaN to 0, the matmul skips weight rows that meet a
+        // zero input, and head logits only feed the argmax).
+        let e = candidate.export();
+        let mut tensors = [e.trunk_w, e.trunk_b]
+            .into_iter()
+            .chain(e.heads.iter().flat_map(|&(w, b)| [w, b]));
+        if tensors.any(|t| t.data().iter().any(|v| !v.is_finite())) {
+            return Err(SwapError::Probe {
+                detail: "non-finite trunk or head weights".into(),
+            });
         }
         // Health probe: candidate embedding + zero aux through the
         // candidate plan; all activations must be finite and every head

@@ -14,7 +14,7 @@ use mga_obs::{clock, metrics};
 use crate::cache::EmbeddingCache;
 use crate::error::ServeError;
 use crate::flight::{drift_event_to_json, FlightRecord, FlightRecorder, MAX_FLIGHT_HEADS};
-use crate::plan::{InferencePlan, Precision};
+use crate::plan::InferencePlan;
 
 /// Batching policy for the serving loop. Time is *logical*: the engine
 /// never reads a wall clock on a **decision** path, so a given
@@ -37,9 +37,6 @@ pub struct ServeConfig {
     /// limit. `usize::MAX` (the default) keeps the standalone engine
     /// unbounded; the cluster always sets a real bound.
     pub queue_capacity: usize,
-    /// Weight precision the plan is compiled at. Quantized precisions
-    /// are approximate — gate them on argmax parity before serving.
-    pub precision: Precision,
     /// Record per-request flight records, stage latency histograms and
     /// drift signals (default on; the recorder is allocation-free, so
     /// production leaves this enabled). Turning it off changes **no**
@@ -60,7 +57,6 @@ impl Default for ServeConfig {
             max_wait_ticks: 2,
             cache_capacity: 64,
             queue_capacity: usize::MAX,
-            precision: Precision::F32,
             telemetry: true,
             flight_capacity: 4096,
             drift: DriftConfig::default(),
@@ -281,7 +277,7 @@ impl<'a> Engine<'a> {
         cfg: ServeConfig,
     ) -> Engine<'a> {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
-        let plan = InferencePlan::compile_with(model, cfg.precision);
+        let plan = InferencePlan::compile(model);
         assert!(
             plan.num_heads() <= MAX_FLIGHT_HEADS,
             "flight records hold at most {MAX_FLIGHT_HEADS} heads"
@@ -627,7 +623,6 @@ impl<'a> Engine<'a> {
             batch,
             batch_mode,
             cache_hit,
-            precision: self.plan.precision().tag(),
             e2e_ns,
             num_heads: nh as u8,
             ..FlightRecord::default()

@@ -6,9 +6,9 @@
 //! happened to the last N requests" — the post-incident view. Every
 //! served request appends one [`FlightRecord`] carrying its identity
 //! (request id, kernel), its path through the engine (submit/served
-//! tick, queue ticks, batch size, cache hit/miss, plan precision,
-//! engine-side nanoseconds) and its decision (per-head class + top-1 −
-//! top-2 margin, mean confidence).
+//! tick, queue ticks, batch size, cache hit/miss, engine-side
+//! nanoseconds) and its decision (per-head class + top-1 − top-2
+//! margin, mean confidence).
 //!
 //! The ring is sized once at engine construction
 //! ([`crate::ServeConfig::flight_capacity`]) and records are plain
@@ -108,9 +108,6 @@ pub struct FlightRecord {
     /// Whether its static embedding was already resident (false = the
     /// slow GNN+DAE path ran).
     pub cache_hit: bool,
-    /// Weight precision tag of the serving plan (`"f32"`, `"bf16"`,
-    /// `"int8"`).
-    pub precision: &'static str,
     /// Engine-side wall nanoseconds (submit→response for batched
     /// requests, call duration for the fast path).
     pub e2e_ns: u64,
@@ -140,7 +137,6 @@ impl Default for FlightRecord {
             batch: 0,
             batch_mode: "full",
             cache_hit: false,
-            precision: "f32",
             e2e_ns: 0,
             disposition: Disposition::Served,
             num_heads: 0,
@@ -165,7 +161,6 @@ impl FlightRecord {
             ("batch", Json::Num(self.batch as f64)),
             ("batch_mode", Json::str(self.batch_mode)),
             ("cache_hit", Json::Bool(self.cache_hit)),
-            ("precision", Json::str(self.precision)),
             ("e2e_ns", Json::Num(self.e2e_ns as f64)),
             ("disposition", Json::str(self.disposition.tag())),
             (
@@ -334,7 +329,6 @@ mod tests {
         let v = mga_obs::json::parse(lines[1]).expect("valid json");
         assert_eq!(v.get("type").and_then(Json::as_str), Some("request"));
         assert_eq!(v.get("id").and_then(Json::as_f64), Some(42.0));
-        assert_eq!(v.get("precision").and_then(Json::as_str), Some("f32"));
         assert_eq!(v.get("batch_mode").and_then(Json::as_str), Some("full"));
         let classes = v.get("classes").and_then(Json::as_arr).unwrap();
         assert_eq!(classes.len(), 2, "only populated heads are emitted");

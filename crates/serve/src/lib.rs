@@ -25,18 +25,14 @@
 //!   the scratch memory cycles through an `mga-nn` arena so the steady
 //!   state allocates nothing.
 //!
-//! Every f32 prediction is **bitwise identical** to
+//! Every prediction is **bitwise identical** to
 //! [`mga_core::model::FusionModel::predict`]: the plan re-enters the
 //! same matmul / bias-activation kernels the tape uses (with the panel
 //! kernel resolved once at compile time), static embedding rows are
 //! row-stable under batching, and class decisions share the training
 //! argmax comparator. The property tests in `tests/serve_parity.rs`
 //! enforce this across request orderings, batch sizes, thread counts
-//! and cache states. Plans can also be compiled at
-//! [`plan::Precision::Bf16`] / [`plan::Precision::Int8`]; those are
-//! approximate and only eligible for serving behind an exact-argmax
-//! parity gate against the f32 plan (enforced by `serve_bench` on the
-//! CV test folds and by `tests/quantized_parity.rs`).
+//! and cache states.
 
 //!
 //! Serving is also the layer that must explain itself in production, so
@@ -45,7 +41,7 @@
 //!
 //! * [`flight::FlightRecorder`] — a fixed-capacity ring of per-request
 //!   [`flight::FlightRecord`]s (kernel, ticks, batch size, cache
-//!   hit/miss, precision, per-head class + decision margin), dumped as
+//!   hit/miss, per-head class + decision margin), dumped as
 //!   JSONL on demand or to `MGA_FLIGHT=<path>` at end of run;
 //! * per-stage latency histograms (`serve.lat.*`, log₂ ns buckets via
 //!   `mga_obs::hist`) measured inside the engine;
@@ -95,5 +91,5 @@ pub use cluster::{load_candidate, Cluster, ClusterConfig, Health};
 pub use engine::{BatchMode, Engine, Request, Response, ServeConfig};
 pub use error::{ServeError, SwapError};
 pub use flight::{Disposition, FlightRecord, FlightRecorder};
-pub use plan::{InferencePlan, Precision};
+pub use plan::InferencePlan;
 pub use router::Router;

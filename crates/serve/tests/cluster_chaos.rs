@@ -14,7 +14,8 @@
 //! Plus the routing property the cluster's cache locality rests on: a
 //! consistent-hash ring moves only ~K/(N+1) of K keys when a shard is
 //! added (proptest), and hot swaps install at an exact batch boundary
-//! with validation-gated rollback.
+//! with validation-gated rollback (shape gate, non-finite weights,
+//! health probe).
 //!
 //! Fault state (`mga_obs::fault`) is process-global, so every test in
 //! this binary takes one shared lock — armed specs must never leak into
@@ -435,6 +436,57 @@ fn hot_swap_is_zero_drop_and_rolls_back_on_rejection() {
             "request {} must be served by the {} plan",
             r.id, plan
         );
+    }
+}
+
+/// A candidate whose trunk or head parameters are NaN is a typed probe
+/// rejection, though one probe input alone would not expose it: ReLU
+/// maps NaN to 0, the matmul skips weight rows that meet a zero input,
+/// and head logits only feed the argmax.
+#[test]
+fn swap_rejects_candidates_with_non_finite_weights() {
+    let _g = lock();
+    let c = ctx();
+    let data = train_data(c);
+    // A v1 checkpoint (no crc tokens, no [crc] seal) loads without
+    // integrity checks, so a rewritten parameter line reaches the model.
+    let v1: Vec<String> = persist::save_model(&c.model, 16, data.aux[0].len())
+        .lines()
+        .filter(|l| !l.starts_with("[crc] "))
+        .map(|l| {
+            let l = l.replace("mga-model v2", "mga-model v1");
+            match l.find(" crc=") {
+                Some(i) => l[..i].to_string(),
+                None => l,
+            }
+        })
+        .collect();
+    let poisoned: Vec<(&str, FusionModel)> = ["trunk.w", "trunk.b", "head0.w", "head0.b"]
+        .into_iter()
+        .map(|param| {
+            let mut text = v1.clone();
+            let header = text
+                .iter()
+                .position(|l| l.starts_with(&format!("[param] {param} ")))
+                .expect("parameter section");
+            let nans = vec!["7fc00000"; text[header + 1].split_whitespace().count()];
+            text[header + 1] = nans.join(" ");
+            let model = persist::load_model(&(text.join("\n") + "\n")).expect("v1 text loads");
+            (param, model)
+        })
+        .collect();
+    let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(1, 16));
+    for (param, candidate) in &poisoned {
+        match cluster.swap(0, candidate) {
+            Err(SwapError::Probe { .. }) => {}
+            other => panic!("NaN {param} must fail the health probe, got {other:?}"),
+        }
+        assert_eq!(
+            cluster.engine(0).plan_epoch(),
+            0,
+            "rejecting NaN {param} changes nothing"
+        );
+        assert!(!cluster.engine(0).swap_pending());
     }
 }
 
