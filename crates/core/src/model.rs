@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::OnceCell;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Which static modalities the model uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,14 +181,11 @@ pub struct FusionModel {
     pub head_sizes: Vec<usize>,
     /// Final training loss (diagnostics).
     pub final_loss: f32,
-    /// Persistent training tape: epoch N ≥ 2 replays epoch 1's op
-    /// sequence into recycled buffers, so the steady-state epoch loop
-    /// performs zero tape-tensor heap allocations.
-    pub(crate) tape: Tape,
-    /// Data-parallel epoch state (replica tapes + gradient shards),
-    /// populated on the first multi-micro-batch epoch and replayed by
-    /// the rest — each replica has the same zero-alloc steady state as
-    /// the single tape above.
+    /// Training state (replica tapes + gradient shards), populated on
+    /// the first epoch and replayed by the rest: epoch N ≥ 2 replays
+    /// each replica's op sequence into recycled buffers, so the
+    /// steady-state epoch loop performs zero tape-tensor heap
+    /// allocations.
     pub(crate) dp: DpState,
     /// Scratch tape for [`FusionModel::predict_prepared`]: repeated
     /// evaluation (shadow-eval, `evaluate_online`) replays into recycled
@@ -199,8 +196,8 @@ pub struct FusionModel {
     predict_tape: Mutex<Tape>,
 }
 
-/// Replica tapes and gradient shards of the data-parallel epoch, one of
-/// each per micro-batch; see [`FusionModel::train_epoch_stats`].
+/// Replica tapes and gradient shards of the training epoch, one of each
+/// per micro-batch; see [`FusionModel::train_epoch_stats`].
 #[derive(Default)]
 pub(crate) struct DpState {
     replicas: Vec<Replica>,
@@ -217,7 +214,7 @@ struct Replica {
 impl FusionModel {
     /// Rebuild the architecture for a checkpoint (`cfg` + `head_sizes` +
     /// `vec_dim`/`aux_dim`/`graph summary width` determine every shape),
-    /// with zeroed parameters awaiting [`crate::persist`] restoration.
+    /// with parameters awaiting [`crate::persist`] restoration.
     pub(crate) fn skeleton(
         cfg: ModelConfig,
         head_sizes: &[usize],
@@ -225,19 +222,30 @@ impl FusionModel {
         aux_dim: usize,
     ) -> FusionModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        Self::assemble(cfg, head_sizes, vec_dim, aux_dim, &mut rng)
+    }
+
+    /// Register the trainable architecture — GNN, trunk and heads, drawn
+    /// from `rng` in that order — for the trunk input width that `cfg`'s
+    /// modalities, `vec_dim` and `aux_dim` imply. The DAE and the scalers
+    /// are left empty for the caller to fit or restore.
+    fn assemble(
+        cfg: ModelConfig,
+        head_sizes: &[usize],
+        vec_dim: usize,
+        aux_dim: usize,
+        rng: &mut StdRng,
+    ) -> FusionModel {
         let mut ps = ParamSet::new();
         let use_graph = matches!(cfg.modality, Modality::Multimodal | Modality::GraphOnly);
-        let gnn = use_graph.then(|| HeteroGnn::new(&mut ps, "gnn", &cfg.gnn, &mut rng));
+        let gnn = use_graph.then(|| HeteroGnn::new(&mut ps, "gnn", &cfg.gnn, rng));
         let mut in_dim = 0;
         if use_graph {
             in_dim += cfg.gnn.dim;
         }
-        let dae = if cfg.modality == Modality::Multimodal {
+        if cfg.modality == Modality::Multimodal {
             in_dim += cfg.dae.code_dim;
-            None // restored from the checkpoint
-        } else {
-            None
-        };
+        }
         if matches!(cfg.modality, Modality::VectorOnly | Modality::EarlyFusion) {
             in_dim += vec_dim;
         }
@@ -247,14 +255,8 @@ impl FusionModel {
         if cfg.use_aux && aux_dim > 0 {
             in_dim += aux_dim;
         }
-        let trunk = Linear::new(
-            &mut ps,
-            "trunk",
-            in_dim,
-            cfg.hidden,
-            Activation::Relu,
-            &mut rng,
-        );
+        assert!(in_dim > 0, "model has no input features");
+        let trunk = Linear::new(&mut ps, "trunk", in_dim, cfg.hidden, Activation::Relu, rng);
         let heads = head_sizes
             .iter()
             .enumerate()
@@ -265,7 +267,7 @@ impl FusionModel {
                     cfg.hidden,
                     k,
                     Activation::Identity,
-                    &mut rng,
+                    rng,
                 )
             })
             .collect();
@@ -273,14 +275,13 @@ impl FusionModel {
             cfg,
             ps,
             gnn,
-            dae,
+            dae: None,
             raw_vec_scaler: None,
             aux_scaler: None,
             trunk,
             heads,
             head_sizes: head_sizes.to_vec(),
             final_loss: f32::NAN,
-            tape: Tape::new(),
             dp: DpState::default(),
             predict_tape: Mutex::new(Tape::new()),
         }
@@ -320,14 +321,14 @@ pub struct PreparedBatch {
     summaries: Option<Tensor>,
     /// Min-max-scaled auxiliary features, one row per *sample*.
     aux: Option<Tensor>,
-    /// Lazily built micro-batch plan for the data-parallel epoch (empty
-    /// = run the single-tape path). Built once per batch: the partition
-    /// is a pure function of the batch and the configured width, so
-    /// every epoch replays the same plan.
-    micro: OnceCell<Vec<MicroBatch>>,
+    /// Lazily built micro-batch plan of the training epoch, with the
+    /// width it was built at. Built once per batch: the partition is a
+    /// pure function of the batch and the width, so every epoch replays
+    /// the same plan.
+    micro: OnceCell<(usize, Vec<MicroBatch>)>,
 }
 
-/// One micro-batch of the data-parallel epoch: a contiguous sample range
+/// One micro-batch of the training epoch: a contiguous sample range
 /// `[lo, hi)` of its [`PreparedBatch`] plus per-kernel tables restricted
 /// to the kernels those samples reference, so each replica's forward
 /// pass — including the GNN, the dominant epoch cost — runs only on its
@@ -349,8 +350,8 @@ struct MicroBatch {
 }
 
 /// Borrowed view of one forward pass's inputs — either a whole
-/// [`PreparedBatch`] or one [`MicroBatch`] of it — so the full-batch and
-/// data-parallel paths share a single forward implementation
+/// [`PreparedBatch`] or one [`MicroBatch`] of it — so prediction and the
+/// training replicas share a single forward implementation
 /// ([`FusionModel::forward_view`]).
 struct BatchView<'a> {
     graph: Option<&'a GraphBatch>,
@@ -363,36 +364,19 @@ struct BatchView<'a> {
     aux: Option<(&'a Tensor, usize, usize)>,
 }
 
-/// Micro-batch width for data-parallel epochs: `MGA_MICROBATCH` (read
-/// once), default 8. Deliberately *not* derived from `MGA_THREADS`: the
-/// partition fixes the gradient summation tree, so it must be identical
-/// at every thread count for training to stay bitwise thread-invariant.
-fn configured_microbatch_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        if let Ok(v) = std::env::var("MGA_MICROBATCH") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => return n,
-                _ => {
-                    mga_obs::warn!(
-                        "MGA_MICROBATCH={v:?} is not a positive integer; using the default"
-                    );
-                }
-            }
-        }
-        8
-    })
-}
+/// Micro-batch width W of the training epoch. Deliberately *not*
+/// derived from `MGA_THREADS`: the partition fixes the gradient
+/// summation tree, so it must be identical at every thread count for
+/// training to stay bitwise thread-invariant.
+const MICROBATCH_WIDTH: usize = 8;
 
 /// Split `[0, n)` into at most `width` contiguous sample ranges of
 /// near-equal size, snapping each boundary forward to the next kernel-row
 /// change. Samples arrive kernel-sorted (`prepare` maps sorted distinct
 /// kernels), so snapping means no kernel's samples straddle two
 /// micro-batches — each graph is computed by exactly one replica and the
-/// epoch's total GNN work stays identical to the single-tape path. A
-/// batch whose first kernel covers everything collapses to one range
-/// (the caller then uses the single-tape path, which still parallelizes
-/// inside its kernels).
+/// epoch's total GNN work is the full batch's. A batch whose first
+/// kernel covers everything collapses to one range: one replica.
 fn micro_ranges(sample_rows: &[u32], width: usize) -> Vec<(usize, usize)> {
     let n = sample_rows.len();
     if n == 0 || width <= 1 {
@@ -434,21 +418,22 @@ impl PreparedBatch {
         self.sample_rows.len()
     }
 
-    /// The micro-batch plan at `width`, built on first use and cached
-    /// (an empty slice means "don't data-parallelize this batch"). The
-    /// first caller's width sticks — within a process the width is a
-    /// constant, and tests that vary it prepare a fresh batch per width.
+    /// The micro-batch plan at `width`, built on first use and cached.
+    /// A batch is planned at one width only: asking for another panics
+    /// (tests that vary the width prepare a fresh batch per width).
     fn micro_plan(&self, width: usize) -> &[MicroBatch] {
-        self.micro.get_or_init(|| {
-            let ranges = micro_ranges(&self.sample_rows, width);
-            if ranges.len() <= 1 {
-                return Vec::new();
-            }
-            ranges
+        let (planned, micros) = self.micro.get_or_init(|| {
+            let micros = micro_ranges(&self.sample_rows, width)
                 .into_iter()
                 .map(|(lo, hi)| self.build_micro(lo, hi))
-                .collect()
-        })
+                .collect();
+            (width, micros)
+        });
+        assert_eq!(
+            *planned, width,
+            "prepared batch is planned at micro-batch width {planned}, not {width}"
+        );
+        micros
     }
 
     /// Materialize one micro-batch: local kernel tables for the range's
@@ -705,13 +690,10 @@ impl FusionModel {
         train_idx: &[usize],
         head_sizes: &[usize],
     ) -> (FusionModel, [u64; 4]) {
-        let cfg = cfg.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut ps = ParamSet::new();
 
         // --- Vector modality: DAE pre-training (MGA) or raw scaled
         // vectors (the IR2Vec unimodal baseline). ---
-        let use_graph = matches!(cfg.modality, Modality::Multimodal | Modality::GraphOnly);
         let mut train_kernels: Vec<usize> =
             train_idx.iter().map(|&i| data.sample_kernel[i]).collect();
         train_kernels.sort_unstable();
@@ -720,85 +702,36 @@ impl FusionModel {
             .iter()
             .map(|&k| data.vectors[k].clone())
             .collect();
+        let vec_dim = data.vectors[0].len();
         let use_raw_vec = matches!(cfg.modality, Modality::VectorOnly | Modality::EarlyFusion);
         let dae = if cfg.modality == Modality::Multimodal {
             let mut dcfg = cfg.dae.clone();
-            dcfg.input_dim = data.vectors[0].len();
+            dcfg.input_dim = vec_dim;
             Some(pretrain(&train_vecs, dcfg, &mut rng))
         } else {
             None
         };
         let raw_vec_scaler = if use_raw_vec {
-            Some(GaussRankScaler::fit(&train_vecs, data.vectors[0].len()))
+            Some(GaussRankScaler::fit(&train_vecs, vec_dim))
         } else {
             None
         };
 
         // --- Aux scaler on training samples. ---
-        let aux_scaler = if cfg.use_aux && !data.aux[0].is_empty() {
+        let aux_dim = data.aux[0].len();
+        let aux_scaler = if cfg.use_aux && aux_dim > 0 {
             let train_aux: Vec<Vec<f32>> = train_idx.iter().map(|&i| data.aux[i].clone()).collect();
-            Some(MinMaxScaler::fit(&train_aux, data.aux[0].len()))
+            Some(MinMaxScaler::fit(&train_aux, aux_dim))
         } else {
             None
         };
 
-        // --- Architecture. ---
-        let gnn = use_graph.then(|| HeteroGnn::new(&mut ps, "gnn", &cfg.gnn, &mut rng));
-        let mut in_dim = 0;
-        if use_graph {
-            in_dim += cfg.gnn.dim;
-        }
-        if let Some(d) = &dae {
-            in_dim += d.dae.cfg.code_dim;
-        }
-        if raw_vec_scaler.is_some() {
-            in_dim += data.vectors[0].len();
-        }
-        if cfg.modality == Modality::EarlyFusion {
-            in_dim += graph_summary(&data.graphs[0]).len();
-        }
-        if let Some(s) = &aux_scaler {
-            in_dim += s.dims();
-        }
-        assert!(in_dim > 0, "model has no input features");
-        let trunk = Linear::new(
-            &mut ps,
-            "trunk",
-            in_dim,
-            cfg.hidden,
-            Activation::Relu,
-            &mut rng,
-        );
-        let heads: Vec<Linear> = head_sizes
-            .iter()
-            .enumerate()
-            .map(|(h, &k)| {
-                Linear::new(
-                    &mut ps,
-                    &format!("head{h}"),
-                    cfg.hidden,
-                    k,
-                    Activation::Identity,
-                    &mut rng,
-                )
-            })
-            .collect();
-
-        let model = FusionModel {
-            cfg,
-            ps,
-            gnn,
-            dae,
-            raw_vec_scaler,
-            aux_scaler,
-            trunk,
-            heads,
-            head_sizes: head_sizes.to_vec(),
-            final_loss: f32::MAX,
-            tape: Tape::new(),
-            dp: DpState::default(),
-            predict_tape: Mutex::new(Tape::new()),
-        };
+        // --- Architecture: drawn after DAE pre-training. ---
+        let mut model = Self::assemble(cfg.clone(), head_sizes, vec_dim, aux_dim, &mut rng);
+        model.dae = dae;
+        model.raw_vec_scaler = raw_vec_scaler;
+        model.aux_scaler = aux_scaler;
+        model.final_loss = f32::MAX;
         let rng_state = rng.to_state();
         (model, rng_state)
     }
@@ -1046,38 +979,33 @@ impl FusionModel {
         targets: &[Vec<u32>],
         opt: &mut AdamW,
     ) -> EpochStats {
-        self.train_epoch_stats_width(prep, targets, opt, None)
+        self.train_epoch_stats_width(prep, targets, opt, MICROBATCH_WIDTH)
     }
 
-    /// [`FusionModel::train_epoch_stats`] with an explicit micro-batch
-    /// width (`None` = the process-wide `MGA_MICROBATCH` default). The
-    /// parity tests and scaling benchmarks use this to vary the
-    /// partition without re-spawning the process.
+    /// [`FusionModel::train_epoch_stats`] at an explicit micro-batch
+    /// width instead of the default W = 8. The parity tests use this to
+    /// vary the partition; a prepared batch trains at one width only and
+    /// panics when asked for another.
     ///
-    /// The epoch is data-parallel when the partition yields W > 1
-    /// micro-batches: each replica runs forward/loss/backward on its own
-    /// persistent tape concurrently, gradients combine through a
-    /// fixed-shape binary tree ([`GradShards`]), and the optimizer step
-    /// sees exactly one full-batch gradient. The partition and the tree
-    /// depend only on the batch and W — never on `MGA_THREADS` — so the
-    /// trained parameters are bitwise identical at any thread count. A
-    /// single-micro-batch partition runs today's single-tape path
-    /// unchanged.
+    /// The batch splits into at most `width` micro-batches; each replica
+    /// runs forward/loss/backward on its own persistent tape
+    /// concurrently, gradients combine through a fixed-shape binary tree
+    /// ([`GradShards`]), and the optimizer step sees exactly one
+    /// full-batch gradient. The partition and the tree depend only on
+    /// the batch and W — never on `MGA_THREADS` — so the trained
+    /// parameters are bitwise identical at any thread count. A
+    /// one-range partition (W = 1, or a single-kernel batch) is one
+    /// replica, whose one-shard reduction is the plain full-batch step.
     pub fn train_epoch_stats_width(
         &mut self,
         prep: &PreparedBatch,
         targets: &[Vec<u32>],
         opt: &mut AdamW,
-        width: Option<usize>,
+        width: usize,
     ) -> EpochStats {
         mga_obs::span!("train_epoch");
-        let width = width.unwrap_or_else(configured_microbatch_width);
         let micros = prep.micro_plan(width);
-        let loss = if micros.is_empty() {
-            self.epoch_single_tape(prep, targets)
-        } else {
-            self.epoch_data_parallel(micros, prep, targets)
-        };
+        let loss = self.epoch_data_parallel(micros, prep, targets);
         if mga_obs::fault::armed() {
             if let Some(shot) = mga_obs::fault::fire(mga_obs::fault::Site::Grad) {
                 if shot.kind == mga_obs::fault::Kind::Nan {
@@ -1102,54 +1030,9 @@ impl FusionModel {
         EpochStats { loss, grad_norm }
     }
 
-    /// The original single-tape epoch body: one forward/loss/backward
-    /// over the whole batch, gradients accumulated straight into the
-    /// `ParamSet`. Degenerate partitions (W = 1, tiny or single-kernel
-    /// batches) take this path, which keeps them bitwise identical to
-    /// every release before data-parallel training existed.
-    fn epoch_single_tape(&mut self, prep: &PreparedBatch, targets: &[Vec<u32>]) -> f32 {
-        // The persistent tape: taken out for the borrow (forward reads
-        // `&self` while the tape is mutated), returned before exit.
-        // `reset` flips it into replay mode after the first epoch, so
-        // steady-state epochs rebuild the graph into recycled buffers.
-        let mut tape = std::mem::take(&mut self.tape);
-        tape.reset();
-        let logits = {
-            mga_obs::span!("forward");
-            self.forward_prepared(&mut tape, prep)
-        };
-        debug_assert_eq!(logits.len(), targets.len());
-        let (total, loss) = {
-            mga_obs::span!("loss");
-            let mut total: Option<Var> = None;
-            for (lg, tg) in logits.iter().zip(targets) {
-                let loss = tape.softmax_cross_entropy(*lg, tg);
-                total = Some(match total {
-                    None => loss,
-                    Some(t) => tape.add(t, loss),
-                });
-            }
-            let total = total.expect("at least one head");
-            (total, tape.value(total).get(0, 0))
-        };
-        {
-            mga_obs::span!("backward");
-            tape.backward(total);
-            tape.accumulate_param_grads(&mut self.ps);
-        }
-        mga_obs::metrics::counter("tape.alloc_bytes").add(tape.pass_alloc_bytes());
-        mga_obs::metrics::counter("tape.arena_reuse").add(tape.pass_reuse_count());
-        if tape.replaying() {
-            // Steady state: must stay at zero (asserted by validate_trace).
-            mga_obs::metrics::counter("tape.steady_alloc_bytes").add(tape.pass_alloc_bytes());
-        }
-        self.tape = tape;
-        loss
-    }
-
-    /// The data-parallel epoch body: one concurrent forward/loss/backward
-    /// per micro-batch on persistent replica tapes, then a fixed-shape
-    /// tree reduction of the per-replica gradient shards into the shared
+    /// The epoch body: one concurrent forward/loss/backward per
+    /// micro-batch on persistent replica tapes, then a fixed-shape tree
+    /// reduction of the per-replica gradient shards into the shared
     /// `ParamSet`. The summed gradient equals the full batch's (each
     /// replica's mean-CE loss is pre-scaled by its sample fraction), and
     /// its floats are a pure function of the partition — scheduling and
@@ -1228,11 +1111,11 @@ impl FusionModel {
         tree_sum(&losses)
     }
 
-    /// One replica's share of a data-parallel epoch: replay-reset its
-    /// tape, forward its micro-batch, scale the summed head losses by the
-    /// replica's sample fraction (so the shard gradients sum to the
-    /// full-batch mean-CE gradient), backpropagate, and flush parameter
-    /// gradients into its shard.
+    /// One replica's share of an epoch: replay-reset its tape, forward
+    /// its micro-batch, scale the summed head losses by the replica's
+    /// sample fraction (so the shard gradients sum to the full-batch
+    /// mean-CE gradient), backpropagate, and flush parameter gradients
+    /// into its shard.
     fn micro_batch_pass(
         &self,
         tape: &mut Tape,
@@ -1801,6 +1684,59 @@ mod tests {
         let truth: Vec<usize> = keep_idx.iter().map(|&i| flipped[i]).collect();
         let retained = crate::metrics::accuracy(&preds[0], &truth);
         assert!(retained >= 0.5, "catastrophic forgetting: {retained}");
+    }
+
+    /// A one-replica epoch (W = 1) is the plain full-batch step: one
+    /// tape over the whole batch, gradients straight into the
+    /// `ParamSet`, clip, AdamW — bitwise, epoch after epoch.
+    #[test]
+    fn one_replica_epoch_is_the_full_batch_step() {
+        let (graphs, vectors, sample_kernel, aux, labels) = toy_data();
+        let data = TrainData {
+            graphs: &graphs,
+            vectors: &vectors,
+            sample_kernel: &sample_kernel,
+            aux: &aux,
+            labels: &[labels],
+        };
+        let train: Vec<usize> = (0..16).collect();
+        let mut cfg = quick_cfg(Modality::Multimodal);
+        cfg.epochs = 0;
+        let mut a = FusionModel::fit(cfg.clone(), &data, &train, &[2]);
+        let mut b = FusionModel::fit(cfg, &data, &train, &[2]);
+        let prep = a.prepare(&data, &train);
+        let targets = batch_targets(&data, &train, 1);
+        let mut opt_a = AdamW::new(0.02).with_weight_decay(0.001);
+        let mut opt_b = AdamW::new(0.02).with_weight_decay(0.001);
+        for epoch in 0..3 {
+            let loss_a = a
+                .train_epoch_stats_width(&prep, &targets, &mut opt_a, 1)
+                .loss;
+
+            let mut tape = Tape::new();
+            let logits = b.forward_prepared(&mut tape, &prep);
+            let mut total: Option<Var> = None;
+            for (lg, tg) in logits.iter().zip(&targets) {
+                let loss = tape.softmax_cross_entropy(*lg, tg);
+                total = Some(match total {
+                    None => loss,
+                    Some(t) => tape.add(t, loss),
+                });
+            }
+            let total = total.unwrap();
+            let loss_b = tape.value(total).get(0, 0);
+            tape.backward(total);
+            tape.accumulate_param_grads(&mut b.ps);
+            b.ps.clip_grad_norm(5.0);
+            opt_b.step(&mut b.ps);
+
+            assert_eq!(loss_a.to_bits(), loss_b.to_bits(), "epoch {epoch}: loss");
+            assert_eq!(
+                a.param_checksum(),
+                b.param_checksum(),
+                "epoch {epoch}: parameters"
+            );
+        }
     }
 
     #[test]

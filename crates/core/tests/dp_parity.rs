@@ -10,8 +10,8 @@
 //!   `MGA_THREADS` ∈ {1, 4}),
 //! * numerically equivalent across widths (same gradient up to f32
 //!   reassociation: the training trajectory and predictions agree), and
-//! * *exactly* the legacy single-tape path for degenerate partitions
-//!   (W = 1, or a batch whose samples all share one kernel).
+//! * *exactly* the W = 1 epoch for degenerate partitions (a batch whose
+//!   samples all share one kernel).
 
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{batch_targets, FusionModel, Modality, ModelConfig};
@@ -69,8 +69,8 @@ struct Run {
 
 /// Initialize a model (zero `fit` epochs — DAE pre-training and weight
 /// init only), then drive `epochs` epochs at micro-batch width `w`.
-/// A fresh `PreparedBatch` per run: the micro-batch plan is cached per
-/// prepared batch, keyed by the first width it is asked for.
+/// A fresh `PreparedBatch` per run: a prepared batch caches its
+/// micro-batch plan and refuses to train at a second width.
 fn train_at_width(w: usize, epochs: usize, idx_override: Option<&[usize]>) -> Run {
     let (ds, task, train, val) = small_task();
     let idx: Vec<usize> = idx_override.map(<[usize]>::to_vec).unwrap_or(train);
@@ -82,9 +82,7 @@ fn train_at_width(w: usize, epochs: usize, idx_override: Option<&[usize]>) -> Ru
     let mut opt = AdamW::new(0.02).with_weight_decay(0.001);
     let mut loss = f32::NAN;
     for _ in 0..epochs {
-        loss = m
-            .train_epoch_stats_width(&prep, &targets, &mut opt, Some(w))
-            .loss;
+        loss = m.train_epoch_stats_width(&prep, &targets, &mut opt, w).loss;
     }
     Run {
         checksum: m.param_checksum(),
@@ -115,20 +113,20 @@ fn widths_are_deterministic_and_agree() {
         let rel = (a.loss - reference.loss).abs() / reference.loss.abs().max(1e-12);
         assert!(
             rel < 5e-3,
-            "width {w}: loss {} diverged from single-tape {} (rel {rel})",
+            "width {w}: loss {} diverged from W = 1 {} (rel {rel})",
             a.loss,
             reference.loss
         );
         assert_eq!(
             a.preds, reference.preds,
-            "width {w}: predictions diverged from single-tape run"
+            "width {w}: predictions diverged from the W = 1 run"
         );
     }
 }
 
 /// A batch whose samples all come from one kernel cannot be split
 /// without tearing a kernel across micro-batches, so every width must
-/// collapse to the identical single-tape path — bitwise, not just
+/// collapse to the identical W = 1 epoch — bitwise, not just
 /// approximately.
 #[test]
 fn single_kernel_batch_collapses_to_single_tape() {
@@ -142,16 +140,32 @@ fn single_kernel_batch_collapses_to_single_tape() {
     let wide = train_at_width(8, 3, Some(&idx));
     assert_eq!(
         one.checksum, wide.checksum,
-        "single-kernel batch must take the legacy path at any width"
+        "single-kernel batch must train as W = 1 at any width"
     );
     assert_eq!(one.loss.to_bits(), wide.loss.to_bits());
+}
+
+/// A prepared batch caches its micro-batch plan, so training it at a
+/// second width must fail loudly instead of silently reusing the first.
+#[test]
+#[should_panic(expected = "micro-batch width")]
+fn a_prepared_batch_refuses_a_second_width() {
+    let (ds, task, train, _val) = small_task();
+    let data = task.train_data(&ds);
+    let heads = task.codec.head_sizes();
+    let mut m = FusionModel::fit(small_cfg(0), &data, &train, &heads);
+    let prep = m.prepare(&data, &train);
+    let targets = batch_targets(&data, &train, heads.len());
+    let mut opt = AdamW::new(0.02).with_weight_decay(0.001);
+    m.train_epoch_stats_width(&prep, &targets, &mut opt, 2);
+    m.train_epoch_stats_width(&prep, &targets, &mut opt, 4);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Partition invariance under fuzzed widths: any W trains
-    /// deterministically and lands on the single-tape trajectory.
+    /// deterministically and lands on the W = 1 trajectory.
     #[test]
     fn fuzzed_width_is_deterministic(w in 1usize..=10) {
         let a = train_at_width(w, 2, None);
@@ -160,7 +174,7 @@ proptest! {
         prop_assert!(a.loss.is_finite());
         let r = train_at_width(1, 2, None);
         let rel = (a.loss - r.loss).abs() / r.loss.abs().max(1e-12);
-        prop_assert!(rel < 5e-3, "width {} loss {} vs single-tape {}", w, a.loss, r.loss);
+        prop_assert!(rel < 5e-3, "width {} loss {} vs W = 1 {}", w, a.loss, r.loss);
     }
 }
 
