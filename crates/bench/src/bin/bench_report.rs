@@ -15,36 +15,99 @@
 //! health — on a multi-core box it shows the real speedup, on a
 //! single-core box pure dispatch overhead, and a serialization bug
 //! inflates it either way.
+//!
+//! `matmul_trio_n12` and `matmul_trio_n16` time the three GNN matmul
+//! kernels — zero-skip `X·W`, dense `G·Wᵀ` and `Xᵀ·G` — on 512 rows at
+//! widths 12 (the model's width: one full strip and a 4-column tail)
+//! and 16 (two full strips). `matmul_tail_ratio` is n12/n16 in
+//! per-mille: another within-run ratio, it gates the column-tail
+//! kernels, which no absolute record here can see. The trios sit below
+//! the kernels' parallel threshold, so they run on the calling thread
+//! at any `MGA_THREADS`.
 
 use mga_bench::{finish_run, manifest, model_cfg, parse_opts, thread_dataset};
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{batch_targets, FusionModel, Modality};
 use mga_core::omp::OmpTask;
 use mga_nn::optim::AdamW;
+use mga_nn::tensor::{matmul_dense_into, matmul_into, t_matmul_into};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Median ns per call over timed batches (~0.5 s measurement per entry).
 /// Returns the median so callers can stamp it into the run manifest.
 fn time(name: &str, records: &mut Vec<String>, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let budget = Duration::from_millis(500);
-    let mut samples = Vec::new();
-    let mut iters = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < budget || iters == 0 {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos() as f64);
-        iters += 1;
+    time_each(&mut [(name, &mut f)], records)[0]
+}
+
+/// [`time`] for several entries at once: their timed calls take turns,
+/// so every entry sees the same machine conditions and a ratio of two
+/// medians is not skewed by a slow spell that hit only one of them.
+fn time_each(entries: &mut [(&str, &mut dyn FnMut())], records: &mut Vec<String>) -> Vec<f64> {
+    for (_, f) in entries.iter_mut() {
+        f(); // warm-up
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let ns = samples[samples.len() / 2];
-    println!("{name:<28} {ns:>16.1} ns/iter  ({iters} iters)");
-    records.push(format!(
-        "{{\"name\": \"{name}\", \"iters\": {iters}, \"ns_per_iter\": {ns:.1}}}"
-    ));
-    ns
+    let budget = Duration::from_millis(500) * entries.len() as u32;
+    let mut samples = vec![Vec::new(); entries.len()];
+    let start = Instant::now();
+    while start.elapsed() < budget || samples[0].is_empty() {
+        for ((_, f), s) in entries.iter_mut().zip(&mut samples) {
+            let t0 = Instant::now();
+            f();
+            s.push(t0.elapsed().as_nanos() as f64);
+        }
+    }
+    entries
+        .iter()
+        .zip(samples)
+        .map(|((name, _), mut s)| {
+            s.sort_by(|a, b| a.total_cmp(b));
+            let ns = s[s.len() / 2];
+            let iters = s.len();
+            println!("{name:<28} {ns:>16.1} ns/iter  ({iters} iters)");
+            records.push(format!(
+                "{{\"name\": \"{name}\", \"iters\": {iters}, \"ns_per_iter\": {ns:.1}}}"
+            ));
+            ns
+        })
+        .collect()
+}
+
+/// One trio of width-`w` GNN products over 512 rows, as a closure: the
+/// forward `X·W` (zero-skip), the backward `G·Wᵀ` against a
+/// pre-transposed weight (dense) and the weight gradient `Xᵀ·G`.
+fn matmul_trio(w: usize) -> impl FnMut() {
+    const ROWS: usize = 512;
+    let mut rng = StdRng::seed_from_u64(w as u64);
+    let mut data = |len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                // A quarter exact zeros, so the zero-skip branch is live.
+                if rng.gen_bool(0.25) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0)
+                }
+            })
+            .collect()
+    };
+    let x = data(ROWS * w);
+    let g = data(ROWS * w);
+    let weight = data(w * w);
+    let mut y = vec![0.0f32; ROWS * w];
+    let mut gx = vec![0.0f32; ROWS * w];
+    let mut gw = vec![0.0f32; w * w];
+    move || {
+        y.fill(0.0);
+        gx.fill(0.0);
+        gw.fill(0.0);
+        matmul_into(&mut y, &x, ROWS, w, &weight, w);
+        matmul_dense_into(&mut gx, &g, ROWS, w, &weight, w);
+        t_matmul_into(&mut gw, &x, ROWS, w, &g, w);
+        std::hint::black_box((&y, &gx, &gw));
+    }
 }
 
 /// `--epoch-probe` mode: build the same fold and model as the main run,
@@ -173,6 +236,24 @@ fn main() {
             man.set_float("train_scaling_4x_permille", ratio);
         }
     }
+
+    let (mut n12, mut n16) = (matmul_trio(12), matmul_trio(16));
+    let trios = time_each(
+        &mut [("matmul_trio_n12", &mut n12), ("matmul_trio_n16", &mut n16)],
+        &mut records,
+    );
+    let (n12, n16) = (trios[0], trios[1]);
+    let ratio = (n12 / n16 * 1000.0).round();
+    println!(
+        "{:<28} {ratio:>16.1} per-mille (n12/n16)",
+        "matmul_tail_ratio"
+    );
+    records.push(format!(
+        "{{\"name\": \"matmul_tail_ratio\", \"iters\": 1, \"ns_per_iter\": {ratio:.1}}}"
+    ));
+    man.set_float("matmul_trio_n12_ns", n12)
+        .set_float("matmul_trio_n16_ns", n16)
+        .set_float("matmul_tail_ratio_permille", ratio);
 
     let path = "BENCH_train.json";
     let write_records = || -> std::io::Result<()> {

@@ -15,8 +15,11 @@
 //! and the same `a == 0.0` skip the scalar kernel performs. A SIMD lane
 //! is just eight independent scalar pipelines, so results match the
 //! scalar fallback bit for bit; `tests/simd_parity.rs` proves it across
-//! odd shapes and thread counts, and the figure binaries' stdout stays
-//! byte-identical with SIMD on or off.
+//! odd shapes, every column-tail width and thread counts, and the figure
+//! binaries' stdout stays byte-identical with SIMD on or off. The one
+//! exception is a NaN's payload: when two NaNs meet in an add, Rust
+//! leaves the surviving payload unspecified, and the backends can pick
+//! differently.
 //!
 //! Dispatch is resolved *per shape*, once, at plan time: a
 //! [`DispatchTable`] memoizes the kernel choice per `(m, k, n)` so the
@@ -409,12 +412,17 @@ mod x86 {
     /// `MR × (8·NV)` blocks of ymm accumulators held across the whole k
     /// loop; per element the arithmetic is ascending-k `mul` + `add`
     /// with the same `a == 0.0` skip as the scalar kernel (`SKIP`), so
-    /// the result is bitwise identical to it. Column tails below one
-    /// lane run the scalar element loop.
+    /// the result is bitwise identical to it. Columns run in 16-wide
+    /// strips; what is left after them runs as one last strip whose
+    /// final vector is masked when the width is not a multiple of 8 (a
+    /// 16-wide tile for 9–15 columns, an 8-wide one for 1–7). Masked
+    /// lanes at or past `n` are neither loaded nor stored; live lanes
+    /// do the same arithmetic as in any other tile.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available. Slice bounds are debug
-    /// asserted; all pointer arithmetic stays within the slices.
+    /// asserted; all pointer arithmetic stays within the slices, and
+    /// masked-off lanes touch no memory.
     #[target_feature(enable = "avx2")]
     pub unsafe fn matmul_panel<const SKIP: bool>(
         out: &mut [f32],
@@ -434,37 +442,63 @@ mod x86 {
         while j + 16 <= n {
             let mut i = 0usize;
             while i + 4 <= m {
-                tile::<SKIP, 4, 2>(op, ap, bp, k, n, i, j);
+                tile::<SKIP, false, 4, 2>(op, ap, bp, k, n, i, j);
                 i += 4;
             }
             while i < m {
-                tile::<SKIP, 1, 2>(op, ap, bp, k, n, i, j);
+                tile::<SKIP, false, 1, 2>(op, ap, bp, k, n, i, j);
                 i += 1;
             }
             j += 16;
         }
-        if j + 8 <= n {
+        if j + 8 < n {
             let mut i = 0usize;
             while i + 4 <= m {
-                tile::<SKIP, 4, 1>(op, ap, bp, k, n, i, j);
+                tile::<SKIP, true, 4, 2>(op, ap, bp, k, n, i, j);
                 i += 4;
             }
             while i < m {
-                tile::<SKIP, 1, 1>(op, ap, bp, k, n, i, j);
+                tile::<SKIP, true, 1, 2>(op, ap, bp, k, n, i, j);
                 i += 1;
             }
-            j += 8;
-        }
-        if j < n {
-            scalar_cols::<SKIP>(out, a, m, k, b, n, j);
+        } else if j + 8 == n {
+            let mut i = 0usize;
+            while i + 4 <= m {
+                tile::<SKIP, false, 4, 1>(op, ap, bp, k, n, i, j);
+                i += 4;
+            }
+            while i < m {
+                tile::<SKIP, false, 1, 1>(op, ap, bp, k, n, i, j);
+                i += 1;
+            }
+        } else if j < n {
+            let mut i = 0usize;
+            while i + 4 <= m {
+                tile::<SKIP, true, 4, 1>(op, ap, bp, k, n, i, j);
+                i += 4;
+            }
+            while i < m {
+                tile::<SKIP, true, 1, 1>(op, ap, bp, k, n, i, j);
+                i += 1;
+            }
         }
     }
 
+    /// Lane mask for a column strip with `rem` live columns: lanes
+    /// `0..rem` set (all eight when `rem >= 8`), the rest clear.
+    #[target_feature(enable = "avx2")]
+    fn lanes_below(rem: usize) -> __m256i {
+        let live = _mm256_set1_epi32(rem.min(8) as i32);
+        _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
     /// One `MR × (8·NV)` output tile: load accumulators, stream k,
-    /// store. `a` is indexed `(i0+r)·k + kk`, `b` row-major.
+    /// store. `a` is indexed `(i0+r)·k + kk`, `b` row-major. In a
+    /// `MASKED` tile the last vector loads and stores only its lanes
+    /// below column `n`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile<const SKIP: bool, const MR: usize, const NV: usize>(
+    unsafe fn tile<const SKIP: bool, const MASKED: bool, const MR: usize, const NV: usize>(
         out: *mut f32,
         a: *const f32,
         b: *const f32,
@@ -473,17 +507,28 @@ mod x86 {
         i0: usize,
         j0: usize,
     ) {
+        let mask = lanes_below(n - j0 - 8 * (NV - 1));
         let mut acc = [[_mm256_setzero_ps(); NV]; MR];
         for r in 0..MR {
             for v in 0..NV {
-                acc[r][v] = _mm256_loadu_ps(out.add((i0 + r) * n + j0 + 8 * v));
+                let o = out.add((i0 + r) * n + j0 + 8 * v);
+                acc[r][v] = if MASKED && v == NV - 1 {
+                    _mm256_maskload_ps(o, mask)
+                } else {
+                    _mm256_loadu_ps(o)
+                };
             }
         }
         for kk in 0..k {
             let brow = b.add(kk * n + j0);
             let mut bv = [_mm256_setzero_ps(); NV];
             for v in 0..NV {
-                bv[v] = _mm256_loadu_ps(brow.add(8 * v));
+                let p = brow.add(8 * v);
+                bv[v] = if MASKED && v == NV - 1 {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                };
             }
             for r in 0..MR {
                 let av = *a.add((i0 + r) * k + kk);
@@ -500,40 +545,20 @@ mod x86 {
         }
         for r in 0..MR {
             for v in 0..NV {
-                _mm256_storeu_ps(out.add((i0 + r) * n + j0 + 8 * v), acc[r][v]);
-            }
-        }
-    }
-
-    /// Scalar element loop for the `< 8`-wide column tail (still
-    /// ascending-k per element, still the `SKIP` semantics).
-    fn scalar_cols<const SKIP: bool>(
-        out: &mut [f32],
-        a: &[f32],
-        m: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        j0: usize,
-    ) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n + j0..(i + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n + j0..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
+                let o = out.add((i0 + r) * n + j0 + 8 * v);
+                if MASKED && v == NV - 1 {
+                    _mm256_maskstore_ps(o, mask, acc[r][v]);
+                } else {
+                    _mm256_storeu_ps(o, acc[r][v]);
                 }
             }
         }
     }
 
     /// Register-blocked `aᵀ×b` panel for output rows `[lo, hi)` — the
-    /// weight-gradient kernel. Same tile discipline; `a` is walked down
-    /// column `i` (stride `acols`) for the broadcast operand.
+    /// weight-gradient kernel. Same strips and masked last strip as
+    /// [`matmul_panel`]; `a` is walked down column `i` (stride `acols`)
+    /// for the broadcast operand.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available.
@@ -559,43 +584,44 @@ mod x86 {
         while j + 16 <= n {
             let mut i = lo;
             while i + 4 <= hi {
-                t_tile::<4, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+                t_tile::<false, 4, 2>(op, ap, bp, rows, acols, n, lo, i, j);
                 i += 4;
             }
             while i < hi {
-                t_tile::<1, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+                t_tile::<false, 1, 2>(op, ap, bp, rows, acols, n, lo, i, j);
                 i += 1;
             }
             j += 16;
         }
-        if j + 8 <= n {
+        if j + 8 < n {
             let mut i = lo;
             while i + 4 <= hi {
-                t_tile::<4, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                t_tile::<true, 4, 2>(op, ap, bp, rows, acols, n, lo, i, j);
                 i += 4;
             }
             while i < hi {
-                t_tile::<1, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                t_tile::<true, 1, 2>(op, ap, bp, rows, acols, n, lo, i, j);
                 i += 1;
             }
-            j += 8;
-        }
-        if j < n {
-            // Scalar tail columns: historical k-outer loop restricted to
-            // columns [j, n) — identical per-element order.
-            for k in 0..rows {
-                let arow = &a[k * acols..(k + 1) * acols];
-                let brow = &b[k * n + j..(k + 1) * n];
-                for i in lo..hi {
-                    let av = arow[i];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut out[(i - lo) * n + j..(i - lo + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
+        } else if j + 8 == n {
+            let mut i = lo;
+            while i + 4 <= hi {
+                t_tile::<false, 4, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                i += 4;
+            }
+            while i < hi {
+                t_tile::<false, 1, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                i += 1;
+            }
+        } else if j < n {
+            let mut i = lo;
+            while i + 4 <= hi {
+                t_tile::<true, 4, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                i += 4;
+            }
+            while i < hi {
+                t_tile::<true, 1, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+                i += 1;
             }
         }
     }
@@ -708,10 +734,11 @@ mod x86 {
         }
     }
 
+    /// One `MR × (8·NV)` tile of `aᵀ×b`; `MASKED` as in [`tile`].
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn t_tile<const MR: usize, const NV: usize>(
+    unsafe fn t_tile<const MASKED: bool, const MR: usize, const NV: usize>(
         out: *mut f32,
         a: *const f32,
         b: *const f32,
@@ -722,17 +749,28 @@ mod x86 {
         i0: usize,
         j0: usize,
     ) {
+        let mask = lanes_below(n - j0 - 8 * (NV - 1));
         let mut acc = [[_mm256_setzero_ps(); NV]; MR];
         for r in 0..MR {
             for v in 0..NV {
-                acc[r][v] = _mm256_loadu_ps(out.add((i0 - lo + r) * n + j0 + 8 * v));
+                let o = out.add((i0 - lo + r) * n + j0 + 8 * v);
+                acc[r][v] = if MASKED && v == NV - 1 {
+                    _mm256_maskload_ps(o, mask)
+                } else {
+                    _mm256_loadu_ps(o)
+                };
             }
         }
         for kk in 0..rows {
             let brow = b.add(kk * n + j0);
             let mut bv = [_mm256_setzero_ps(); NV];
             for v in 0..NV {
-                bv[v] = _mm256_loadu_ps(brow.add(8 * v));
+                let p = brow.add(8 * v);
+                bv[v] = if MASKED && v == NV - 1 {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                };
             }
             let acol = a.add(kk * acols + i0);
             for r in 0..MR {
@@ -748,7 +786,12 @@ mod x86 {
         }
         for r in 0..MR {
             for v in 0..NV {
-                _mm256_storeu_ps(out.add((i0 - lo + r) * n + j0 + 8 * v), acc[r][v]);
+                let o = out.add((i0 - lo + r) * n + j0 + 8 * v);
+                if MASKED && v == NV - 1 {
+                    _mm256_maskstore_ps(o, mask, acc[r][v]);
+                } else {
+                    _mm256_storeu_ps(o, acc[r][v]);
+                }
             }
         }
     }

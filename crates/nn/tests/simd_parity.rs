@@ -9,6 +9,10 @@
 //!   matmul, `aᵀ×b`) across odd shapes — non-multiple-of-tile M/N/K,
 //!   single rows/columns, empty dims, zero-laced inputs — and require
 //!   identical bits;
+//! * a deterministic sweep hits every column-tail width (`n % 8`) of
+//!   those three panels with non-finite values in the tail and a
+//!   sentinel guard past the output, so the masked last strip can
+//!   neither diverge nor write out of bounds;
 //! * a subprocess test re-runs a kernel + training battery under every
 //!   `MGA_SIMD` × `MGA_THREADS` combination and compares checksums with
 //!   the parent (the backend is latched once per process, so the kill
@@ -153,6 +157,92 @@ fn non_finite_inputs_agree_bitwise() {
     simd::scalar_matmul_panel(&mut scalar, &a, m, k, &b, n);
     simd::avx2_matmul_panel(&mut vector, &a, m, k, &b, n);
     assert_eq!(bits(&scalar), bits(&vector));
+}
+
+/// Bits with every NaN read as one canonical NaN. When two NaNs with
+/// different payloads meet in an add, Rust leaves the result's payload
+/// unspecified (LLVM may commute either kernel's operands), and the
+/// scalar and AVX2 panels do pick differently — already for full
+/// 8-column strips. Parity therefore covers NaN-ness, not the payload;
+/// every other value, −0.0 included, compares bit for bit.
+fn bits_one_nan(data: &[f32]) -> Vec<u32> {
+    data.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// Run `kernel` on a copy of `out` that is the prefix of a buffer with
+/// eight trailing sentinel floats, assert the sentinels survived, and
+/// return the output's [`bits_one_nan`]. The sentinel is a signalling
+/// NaN, so any arithmetic on it (which quiets it) shows as well as a
+/// plain store.
+fn run_guarded(case: &str, out: &[f32], kernel: impl FnOnce(&mut [f32])) -> Vec<u32> {
+    const SENTINEL: u32 = 0x7f80_1234;
+    let mut buf = out.to_vec();
+    buf.extend([f32::from_bits(SENTINEL); 8]);
+    kernel(&mut buf[..out.len()]);
+    assert_eq!(
+        bits(&buf[out.len()..]),
+        [SENTINEL; 8],
+        "{case}: kernel wrote past the output slice"
+    );
+    bits_one_nan(&buf[..out.len()])
+}
+
+/// Every column-tail width, deterministically: the proptests draw `n`
+/// at random, so any one `n % 8` is hit only by chance. For `n` in
+/// 1..=33 the zero-skip, dense and `aᵀ×b` panels (full and interior row
+/// ranges) must match scalar bits, NaN payloads aside. Inputs are laced
+/// with exact zeros, and the last column of `b` and of the initial
+/// output cycles through NaN, ±∞ and −0.0.
+#[test]
+fn every_tail_width_matches_scalar_bitwise() {
+    if !simd::avx2_available() {
+        return;
+    }
+    const SPECIALS: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+    let mut rng = StdRng::seed_from_u64(0x7a11);
+    for n in 1..=33usize {
+        for m in [1usize, 3, 4, 5, 9] {
+            for k in [0usize, 1, 12, 17] {
+                let a = rand_data(&mut rng, m * k, 0.25);
+                let mut b = rand_data(&mut rng, k * n, 0.25);
+                let mut out = rand_data(&mut rng, m * n, 0.25);
+                for (r, row) in b.chunks_exact_mut(n).enumerate() {
+                    row[n - 1] = SPECIALS[r % 4];
+                }
+                for (r, row) in out.chunks_exact_mut(n).enumerate() {
+                    row[n - 1] = SPECIALS[(r + 1) % 4];
+                }
+
+                let case = format!("zero-skip matmul n={n} m={m} k={k}");
+                let s = run_guarded(&case, &out, |o| {
+                    simd::scalar_matmul_panel(o, &a, m, k, &b, n)
+                });
+                let v = run_guarded(&case, &out, |o| simd::avx2_matmul_panel(o, &a, m, k, &b, n));
+                assert_eq!(s, v, "{case} diverged");
+
+                let case = format!("dense matmul n={n} m={m} k={k}");
+                let s = run_guarded(&case, &out, |o| {
+                    simd::scalar_dense_panel(o, &a, m, k, &b, n)
+                });
+                let v = run_guarded(&case, &out, |o| simd::avx2_dense_panel(o, &a, m, k, &b, n));
+                assert_eq!(s, v, "{case} diverged");
+
+                // `a` read as k rows × m columns: output rows [lo, hi).
+                for (lo, hi) in [(0, m), (m / 3, m - m / 3)] {
+                    let case = format!("t_panel n={n} m={m} k={k} rows {lo}..{hi}");
+                    let o = &out[..(hi - lo) * n];
+                    let s = run_guarded(&case, o, |o| {
+                        simd::scalar_t_panel(o, &a, &b, k, m, n, lo, hi)
+                    });
+                    let v =
+                        run_guarded(&case, o, |o| simd::avx2_t_panel(o, &a, &b, k, m, n, lo, hi));
+                    assert_eq!(s, v, "{case} diverged");
+                }
+            }
+        }
+    }
 }
 
 /// Tensor and arena storage all honors the 64-byte alignment contract
