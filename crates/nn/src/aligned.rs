@@ -53,8 +53,12 @@ impl AlignedVec {
         }
     }
 
+    /// Layout of a `cap`-element buffer. Panics when the byte size
+    /// overflows `isize`, so a slice can never claim more memory than
+    /// was allocated.
     fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f32>(), BUF_ALIGN)
+        Layout::array::<f32>(cap)
+            .and_then(|l| l.align_to(BUF_ALIGN))
             .expect("aligned buffer layout")
     }
 
@@ -222,6 +226,13 @@ mod tests {
         assert!(is_aligned(&b));
         assert_eq!(a, b);
         assert_ne!(a, AlignedVec::from_slice(&[1.0, 2.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned buffer layout")]
+    fn an_overflowing_length_is_refused() {
+        // 4·(2^62 + 1) bytes wraps to 4 in a `usize` multiply.
+        let _ = AlignedVec::zeroed((1 << 62) + 1);
     }
 
     #[test]

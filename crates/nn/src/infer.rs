@@ -5,7 +5,8 @@
 //! none of its machinery — no node slots, no gradient bookkeeping, no op
 //! recording. These helpers re-enter the *same* numeric kernels the tape
 //! ops call ([`crate::tensor::matmul_into`] with its i-k-j blocked
-//! accumulation, [`crate::ew::bias_act`] for the row-broadcast bias +
+//! accumulation on the process's one SIMD backend,
+//! [`crate::ew::bias_act`] for the row-broadcast bias +
 //! activation), so every output element is computed by the identical
 //! instruction sequence in the identical order: parity is structural, not
 //! approximate.
@@ -14,7 +15,6 @@
 //! the serving engine recycles its buffers through an [`crate::arena::Arena`].
 
 use crate::ew;
-use crate::simd;
 use crate::tape::FusedAct;
 use crate::tensor::{self, Tensor};
 
@@ -42,27 +42,12 @@ pub fn fused_linear_into(
     b: &Tensor,
     act: FusedAct,
 ) {
-    fused_linear_with(simd::choose_matmul(w.cols()), out, x, rows, w, b, act);
-}
-
-/// [`fused_linear_into`] with a pre-resolved matmul panel — the frozen
-/// inference plans resolve the kernel once per stage at compile time and
-/// pass it here, keeping the per-request path branch-free.
-pub fn fused_linear_with(
-    panel: simd::PanelFn,
-    out: &mut [f32],
-    x: &[f32],
-    rows: usize,
-    w: &Tensor,
-    b: &Tensor,
-    act: FusedAct,
-) {
     let (k, n) = w.shape();
     debug_assert_eq!(x.len(), rows * k, "input row length mismatch");
     debug_assert_eq!(out.len(), rows * n, "output buffer length mismatch");
     debug_assert_eq!(b.shape(), (1, n), "bias must be [1 x cols]");
     out.fill(0.0);
-    tensor::matmul_into_with(panel, out, x, rows, k, w.data(), n);
+    tensor::matmul_into(out, x, rows, k, w.data(), n);
     apply_bias_act(out, b.row_slice(0), act);
 }
 

@@ -20,8 +20,8 @@
 //! * [`aligned`] — the 64-byte-aligned `f32` buffers every tape/arena/
 //!   plan allocation is backed by (the microkernel alignment contract),
 //! * [`simd`] — register-blocked AVX2 microkernels with a bitwise-
-//!   identical scalar fallback and per-shape dispatch (`MGA_SIMD=0`
-//!   kill switch),
+//!   identical scalar fallback; the process's backend is the only
+//!   kernel choice (`MGA_SIMD=0` kill switch),
 //! * [`ew`] — chunked elementwise kernels the tape's fused forward and
 //!   in-place backward passes are built from,
 //! * [`params`] — parameter storage shared between layers and optimizers,

@@ -1,4 +1,4 @@
-//! Explicit-SIMD microkernels with per-shape dispatch.
+//! Explicit-SIMD microkernels and the backend that picks them.
 //!
 //! The release profile already pins `x86-64-v3`, so the scalar panels in
 //! [`crate::tensor`] autovectorize — but they stream every partial sum
@@ -21,30 +21,17 @@
 //! leaves the surviving payload unspecified, and the backends can pick
 //! differently.
 //!
-//! Dispatch is resolved *per shape*, once, at plan time: a
-//! [`DispatchTable`] memoizes the kernel choice per `(m, k, n)` so the
-//! steady-state hot loop calls a cached function pointer — no env reads,
-//! no feature detection, no branches. The backend decision itself is a
-//! process-wide cached check: `is_x86_feature_detected!("avx2")` gated
-//! by the `MGA_SIMD=0` kill switch. Selections are counted in the
-//! `kernel.dispatch_avx2` / `kernel.dispatch_scalar` metrics.
+//! **The backend is the only kernel choice.** `matmul_panel`,
+//! `dense_panel` and `t_panel` call the AVX2 panel when
+//! [`simd_enabled`] and the scalar panel otherwise, for every shape: the
+//! AVX2 tiles mask their last vector, so no column width needs the
+//! scalar loop. The backend itself is a process-wide cached check,
+//! `is_x86_feature_detected!("avx2")` gated by the `MGA_SIMD=0` kill
+//! switch, and every run manifest records it (`"simd"`).
 
 /// Cache block edge for the k dimension in the scalar panels (kept from
 /// the original kernel; per-element accumulation order is unaffected).
 const BLOCK_K: usize = 64;
-
-/// A row-panel matmul kernel: `out(m×n) += a(m×k) × b(k×n)`.
-pub type PanelFn = fn(&mut [f32], &[f32], usize, usize, &[f32], usize);
-
-/// A row-panel `aᵀ×b` kernel: output rows `[lo, hi)` of
-/// `a(rows×acols)ᵀ × b(rows×n)` accumulated into `out`.
-pub type TPanelFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize, usize, usize);
-
-/// A row-panel `a×bᵀ` kernel: `out(m×n) = a(m×k) × b(n×k)ᵀ`
-/// (overwrite), or `out += …` when the final flag is set. Each output
-/// element is one full ascending-k dot product followed by a single
-/// store or add.
-pub type MtPanelFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize, bool);
 
 // ---- backend detection -----------------------------------------------------
 
@@ -93,145 +80,49 @@ pub fn avx2_available() -> bool {
     }
 }
 
-// ---- selection -------------------------------------------------------------
+// ---- entry points: the active backend's panel ------------------------------
 
-/// Minimum column count for the vector kernels; below one lane the tile
-/// machinery is pure overhead and the scalar panel wins.
-const MIN_SIMD_N: usize = 8;
-
-fn count(simd: bool) {
-    if simd {
-        mga_obs::metrics::counter("kernel.dispatch_avx2").inc();
-    } else {
-        mga_obs::metrics::counter("kernel.dispatch_scalar").inc();
-    }
-}
-
-/// Uncounted kernel choice for the self-selecting `tensor::*_into`
-/// wrappers — one cached atomic load plus a width check, cheap enough
-/// for per-call use in the backward pass. The metric-counting
-/// [`select_matmul`] family wraps these for plan-time resolution.
+/// `out += a(m×k) × b(k×n)` with the zero skip (the forward-path flavor),
+/// on the active backend.
 #[inline]
-pub fn choose_matmul(n: usize) -> PanelFn {
-    if simd_enabled() && n >= MIN_SIMD_N {
-        avx2_matmul_panel
+pub(crate) fn matmul_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    if simd_enabled() {
+        avx2_matmul_panel(out, a, m, k, b, n)
     } else {
-        scalar_matmul_panel
+        scalar_matmul_panel(out, a, m, k, b, n)
     }
 }
 
-/// Uncounted dense-kernel choice (see [`choose_matmul`]).
+/// `out += a(m×k) × b(k×n)` without the zero skip (the backward-path
+/// flavor, `G · Wᵀ` against a pre-transposed operand), on the active
+/// backend.
 #[inline]
-pub fn choose_dense(n: usize) -> PanelFn {
-    if simd_enabled() && n >= MIN_SIMD_N {
-        avx2_dense_panel
+pub(crate) fn dense_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    if simd_enabled() {
+        avx2_dense_panel(out, a, m, k, b, n)
     } else {
-        scalar_dense_panel
+        scalar_dense_panel(out, a, m, k, b, n)
     }
 }
 
-/// Uncounted `aᵀ×b` kernel choice (see [`choose_matmul`]).
+/// Output rows `[lo, hi)` of `a(rows×acols)ᵀ × b(rows×n)` accumulated
+/// into `out` (the weight-gradient kernel), on the active backend.
 #[inline]
-pub fn choose_t_matmul(n: usize) -> TPanelFn {
-    if simd_enabled() && n >= MIN_SIMD_N {
-        avx2_t_panel
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn t_panel(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    rows: usize,
+    acols: usize,
+    n: usize,
+    lo: usize,
+    hi: usize,
+) {
+    if simd_enabled() {
+        avx2_t_panel(out, a, b, rows, acols, n, lo, hi)
     } else {
-        scalar_t_panel
-    }
-}
-
-/// Uncounted `a×bᵀ` kernel choice (see [`choose_matmul`]). `n` is the
-/// output width — the row count of `b`.
-#[inline]
-pub fn choose_mt_matmul(n: usize) -> MtPanelFn {
-    if simd_enabled() && n >= MIN_SIMD_N {
-        avx2_mt_panel
-    } else {
-        scalar_mt_panel
-    }
-}
-
-/// Select the `out += a×b` panel kernel (zero-skip semantics, the
-/// forward-path flavor) for a `(m, k, n)` problem, counting the decision
-/// in the `kernel.dispatch_*` metrics — call this at plan/tape-compile
-/// time, once per shape. The choice depends only on `n` and the backend,
-/// so a selection made at plan-compile time for one row count stays
-/// valid for every micro-batch size.
-pub fn select_matmul(_m: usize, _k: usize, n: usize) -> PanelFn {
-    let f = choose_matmul(n);
-    count(simd_enabled() && n >= MIN_SIMD_N);
-    f
-}
-
-/// Select the dense (no zero-skip) panel kernel — the backward-path
-/// flavor used for `G · Wᵀ` against a pre-transposed operand. Counted;
-/// see [`select_matmul`].
-pub fn select_dense(_m: usize, _k: usize, n: usize) -> PanelFn {
-    let f = choose_dense(n);
-    count(simd_enabled() && n >= MIN_SIMD_N);
-    f
-}
-
-/// Select the `aᵀ×b` panel kernel (weight gradients). Counted; see
-/// [`select_matmul`].
-pub fn select_t_matmul(_rows: usize, _acols: usize, n: usize) -> TPanelFn {
-    let f = choose_t_matmul(n);
-    count(simd_enabled() && n >= MIN_SIMD_N);
-    f
-}
-
-/// Select the `a×bᵀ` dot-product panel kernel. Counted; see
-/// [`select_matmul`].
-pub fn select_mt_matmul(_m: usize, _k: usize, n: usize) -> MtPanelFn {
-    let f = choose_mt_matmul(n);
-    count(simd_enabled() && n >= MIN_SIMD_N);
-    f
-}
-
-/// Per-shape kernel memo: the tape and the inference plan resolve their
-/// kernels through one of these, so each distinct `(m, k, n)` pays for
-/// selection (and its dispatch counter) exactly once and every replay or
-/// request hits a cached function pointer.
-#[derive(Default)]
-pub struct DispatchTable {
-    matmul: Vec<((usize, usize, usize), PanelFn)>,
-    dense: Vec<((usize, usize, usize), PanelFn)>,
-    mt: Vec<((usize, usize, usize), MtPanelFn)>,
-}
-
-impl DispatchTable {
-    pub fn new() -> DispatchTable {
-        DispatchTable::default()
-    }
-
-    pub fn matmul(&mut self, m: usize, k: usize, n: usize) -> PanelFn {
-        let key = (m, k, n);
-        if let Some(&(_, f)) = self.matmul.iter().find(|(s, _)| *s == key) {
-            return f;
-        }
-        let f = select_matmul(m, k, n);
-        self.matmul.push((key, f));
-        f
-    }
-
-    pub fn dense(&mut self, m: usize, k: usize, n: usize) -> PanelFn {
-        let key = (m, k, n);
-        if let Some(&(_, f)) = self.dense.iter().find(|(s, _)| *s == key) {
-            return f;
-        }
-        let f = select_dense(m, k, n);
-        self.dense.push((key, f));
-        f
-    }
-
-    pub fn matmul_t(&mut self, m: usize, k: usize, n: usize) -> MtPanelFn {
-        let key = (m, k, n);
-        if let Some(&(_, f)) = self.mt.iter().find(|(s, _)| *s == key) {
-            return f;
-        }
-        let f = select_mt_matmul(m, k, n);
-        self.mt.push((key, f));
-        f
+        scalar_t_panel(out, a, b, rows, acols, n, lo, hi)
     }
 }
 
@@ -309,42 +200,12 @@ pub fn scalar_t_panel(
     }
 }
 
-/// `out = a(m×k) × b(n×k)ᵀ` (or `+=` when `acc`): each output element is
-/// one full ascending-k dot product into a fresh accumulator, then a
-/// single store or add — the historical `matmul_t_panel` every other
-/// backend must match bit for bit. No zero skip: dot products are dense.
-pub fn scalar_mt_panel(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    acc: bool,
-) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut dot = 0.0f32;
-            for kk in 0..k {
-                dot += arow[kk] * brow[kk];
-            }
-            if acc {
-                *o += dot;
-            } else {
-                *o = dot;
-            }
-        }
-    }
-}
-
 // ---- AVX2 panels -----------------------------------------------------------
 
-// Safe wrappers: selection only returns these when `simd_enabled` (or
-// a test checked `avx2_available`), so the target-feature contract
-// holds. On non-x86_64 they fall back to scalar and are never selected.
+// Safe wrappers: the entry points above call these only when
+// `simd_enabled` (and tests only after checking `avx2_available`), so
+// the target-feature contract holds. On non-x86_64 they fall back to
+// scalar and are never chosen.
 
 pub fn avx2_matmul_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -381,24 +242,6 @@ pub fn avx2_t_panel(
     }
     #[cfg(not(target_arch = "x86_64"))]
     scalar_t_panel(out, a, b, rows, acols, n, lo, hi);
-}
-
-#[allow(clippy::too_many_arguments)]
-pub fn avx2_mt_panel(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    acc: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        x86::mt_panel(out, a, b, m, k, n, acc)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    scalar_mt_panel(out, a, b, m, k, n, acc);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -626,114 +469,6 @@ mod x86 {
         }
     }
 
-    /// Vectorized `a×bᵀ` panel. Lanes run across eight *output columns*
-    /// (rows of `b`); the column's k-strided values come in through
-    /// `_mm256_i32gather_ps`, so each lane is a complete ascending-k
-    /// scalar dot-product chain (one `mul` + one `add` per term into a
-    /// zeroed accumulator) — bitwise identical to [`super::scalar_mt_panel`].
-    /// Four `a` rows share each gathered vector to amortize the gather.
-    /// The final store is the scalar kernel's single `=` or `+=`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn mt_panel(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        acc: bool,
-    ) {
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), n * k);
-        // Gather offsets are i32 lane indices relative to `b[j0*k]`; the
-        // largest is 8k-1.
-        debug_assert!(k <= i32::MAX as usize / 8, "k too large for i32 gather");
-        let op = out.as_mut_ptr();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let mut i = 0usize;
-            while i + 4 <= m {
-                mt_tile::<4>(op, ap, bp, k, n, i, j, acc);
-                i += 4;
-            }
-            while i < m {
-                mt_tile::<1>(op, ap, bp, k, n, i, j, acc);
-                i += 1;
-            }
-            j += 8;
-        }
-        if j < n {
-            // Scalar tail columns [j, n): the historical per-element dot.
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + j..(i + 1) * n];
-                for (jj, o) in (j..n).zip(orow.iter_mut()) {
-                    let brow = &b[jj * k..(jj + 1) * k];
-                    let mut dot = 0.0f32;
-                    for kk in 0..k {
-                        dot += arow[kk] * brow[kk];
-                    }
-                    if acc {
-                        *o += dot;
-                    } else {
-                        *o = dot;
-                    }
-                }
-            }
-        }
-    }
-
-    /// One `MR × 8` tile of `a×bᵀ`: eight columns per gather, `MR` rows
-    /// broadcast against it.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn mt_tile<const MR: usize>(
-        out: *mut f32,
-        a: *const f32,
-        b: *const f32,
-        k: usize,
-        n: usize,
-        i0: usize,
-        j0: usize,
-        acc: bool,
-    ) {
-        let ki = k as i32;
-        // Lane l reads column j0+l of the output — row j0+l of `b`,
-        // which starts l·k floats past `b[j0·k]`.
-        let lanes = _mm256_setr_epi32(0, ki, 2 * ki, 3 * ki, 4 * ki, 5 * ki, 6 * ki, 7 * ki);
-        let ones = _mm256_set1_epi32(1);
-        let bbase = b.add(j0 * k);
-        let mut dotv = [_mm256_setzero_ps(); MR];
-        let mut idx = lanes;
-        for kk in 0..k {
-            let bv = _mm256_i32gather_ps::<4>(bbase, idx);
-            idx = _mm256_add_epi32(idx, ones);
-            for r in 0..MR {
-                let va = _mm256_set1_ps(*a.add((i0 + r) * k + kk));
-                // mul + add as two rounding steps — never FMA — to match
-                // the scalar `dot += a * b` exactly.
-                dotv[r] = _mm256_add_ps(dotv[r], _mm256_mul_ps(va, bv));
-            }
-        }
-        for r in 0..MR {
-            let o = out.add((i0 + r) * n + j0);
-            let v = if acc {
-                _mm256_add_ps(_mm256_loadu_ps(o), dotv[r])
-            } else {
-                dotv[r]
-            };
-            _mm256_storeu_ps(o, v);
-        }
-    }
-
     /// One `MR × (8·NV)` tile of `aᵀ×b`; `MASKED` as in [`tile`].
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -843,53 +578,5 @@ mod tests {
             let w2: Vec<u32> = o2.iter().map(|v| v.to_bits()).collect();
             assert_eq!(w1, w2, "({m},{k},{n}) diverged");
         }
-    }
-
-    #[test]
-    fn avx2_mt_matches_scalar_bitwise() {
-        if !avx2_available() {
-            return;
-        }
-        for &(m, k, n) in &[
-            (1usize, 13usize, 24usize),
-            (4, 64, 16),
-            (5, 7, 9),
-            (3, 1, 33),
-            (7, 0, 12),
-            (0, 5, 8),
-            (9, 17, 8),
-            (2, 3, 7),
-            (6, 24, 10),
-        ] {
-            for &acc in &[false, true] {
-                let a = seeded(m * k, 1 + (m * 31 + k) as u64, true);
-                let b = seeded(n * k, 77 + n as u64, false);
-                let mut o1 = seeded(m * n, 5, false);
-                let mut o2 = o1.clone();
-                scalar_mt_panel(&mut o1, &a, &b, m, k, n, acc);
-                avx2_mt_panel(&mut o2, &a, &b, m, k, n, acc);
-                let w1: Vec<u32> = o1.iter().map(|v| v.to_bits()).collect();
-                let w2: Vec<u32> = o2.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(w1, w2, "({m},{k},{n}) acc={acc} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_table_memoizes() {
-        let mut t = DispatchTable::new();
-        let f1 = t.matmul(4, 8, 16);
-        let f2 = t.matmul(4, 8, 16);
-        assert!(std::ptr::fn_addr_eq(f1, f2));
-        assert_eq!(t.matmul.len(), 1);
-        let _ = t.matmul(4, 8, 17);
-        assert_eq!(t.matmul.len(), 2);
-    }
-
-    #[test]
-    fn selection_respects_min_width() {
-        // n < 8 must always pick the scalar panel, whatever the backend.
-        let f = select_matmul(64, 64, 7);
-        assert!(std::ptr::fn_addr_eq(f, scalar_matmul_panel as PanelFn));
     }
 }

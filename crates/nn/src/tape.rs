@@ -32,7 +32,6 @@ use crate::arena::Arena;
 use crate::ew;
 use crate::params::{ParamId, ParamSet};
 use crate::segment;
-use crate::simd;
 use crate::tensor::{self, Tensor};
 
 /// Handle to a node on the tape.
@@ -146,11 +145,6 @@ pub struct Tape {
     /// True when this pass runs over a previously recorded node list.
     replaying: bool,
     arena: Arena,
-    /// Per-shape kernel memo: forward matmuls resolve their panel once
-    /// per distinct shape, so steady-state replays call cached function
-    /// pointers (the `kernel.dispatch_*` metrics count these
-    /// resolutions, not kernel invocations).
-    dispatch: simd::DispatchTable,
     pass_alloc_start: u64,
     pass_reuse_start: u64,
 }
@@ -413,20 +407,11 @@ impl Tape {
         let (m, k) = self.value(a).shape();
         let (k2, n) = self.value(b).shape();
         assert_eq!(k, k2, "matmul inner-dimension mismatch: {m}x{k} × {k2}x{n}");
-        let panel = self.dispatch.matmul(m, k, n);
         let id = self.begin(m, n);
         let (prev, node) = split_nodes(&mut self.nodes, id);
         let out = node.value.data_mut();
         out.fill(0.0);
-        tensor::matmul_into_with(
-            panel,
-            out,
-            prev[a.0].value.data(),
-            m,
-            k,
-            prev[b.0].value.data(),
-            n,
-        );
+        tensor::matmul_into(out, prev[a.0].value.data(), m, k, prev[b.0].value.data(), n);
         self.finish(id, Op::MatMul(a, b))
     }
 
@@ -735,11 +720,6 @@ impl Tape {
             );
             assert_eq!((m2, n2), (m, n), "linear2 operand shape mismatch");
         }
-        let panel = self.dispatch.matmul(m, k, n);
-        let panel2 = x2w2.map(|(x2, _)| {
-            let k2 = self.value(x2).cols();
-            (self.dispatch.matmul(m, k2, n), k2)
-        });
         let id = self.begin(m, n);
         let mut scratch = if x2w2.is_some() {
             self.arena.take(m * n)
@@ -749,20 +729,11 @@ impl Tape {
         let (prev, node) = split_nodes(&mut self.nodes, id);
         let out = node.value.data_mut();
         out.fill(0.0);
-        tensor::matmul_into_with(
-            panel,
-            out,
-            prev[x.0].value.data(),
-            m,
-            k,
-            prev[w.0].value.data(),
-            n,
-        );
+        tensor::matmul_into(out, prev[x.0].value.data(), m, k, prev[w.0].value.data(), n);
         if let Some((x2, w2)) = x2w2 {
-            let (panel2, k2) = panel2.expect("panel resolved with operands");
+            let k2 = prev[x2.0].value.cols();
             scratch.fill(0.0);
-            tensor::matmul_into_with(
-                panel2,
+            tensor::matmul_into(
                 &mut scratch,
                 prev[x2.0].value.data(),
                 m,
@@ -1301,9 +1272,9 @@ fn target_val_and_other<'p>(
 
 /// Input gradient of a product: `t (+)= g (m×n) × bvᵀ`. Computed as a
 /// row-major multiply against a transposed copy of `bv` (arena scratch)
-/// so the inner loop vectorizes; per-element accumulation order is
-/// identical to the dot-product kernel, so the bits match the historical
-/// `matmul_t` path exactly.
+/// so the inner loop vectorizes; each element still sums its terms in
+/// ascending order without a zero skip, so the bits equal a plain
+/// `g · bvᵀ` dot product's.
 fn matmul_grad_a(
     t: &mut Tensor,
     was: bool,

@@ -11,10 +11,8 @@
 //!
 //! The inner row-panel kernels live in [`crate::simd`]: an explicit-AVX2
 //! register-blocked backend with a portable scalar fallback, both
-//! bitwise-identical per element. The `matmul_into` entry points select
-//! per call; the `*_with` variants take a pre-resolved [`simd::PanelFn`]
-//! so plan-time dispatch (tape replay, `InferencePlan`) skips selection
-//! entirely. Tensor storage is 64-byte aligned ([`crate::aligned`]), so
+//! bitwise-identical per element, chosen by the process-wide backend
+//! alone. Tensor storage is 64-byte aligned ([`crate::aligned`]), so
 //! every full buffer entering these kernels honors the microkernel
 //! alignment contract.
 
@@ -297,120 +295,59 @@ impl Tensor {
         );
         out
     }
-
-    /// `self × otherᵀ` without materializing the transpose.
-    pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t col mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        matmul_t_into(
-            &mut out.data,
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.rows,
-            false,
-        );
-        out
-    }
 }
 
-/// `out = a(m×k) × b(n×k)ᵀ` (overwrite), or `out += …` when `acc`. Each
-/// output element is one full dot product followed by a single store or
-/// add, so the `acc` form is bit-identical to materializing the product
-/// and `add_assign`ing it. Runs through the backend selected by
-/// [`simd::choose_mt_matmul`] — the AVX2 panel gathers `b` columns so
-/// every lane is the same ascending-k dot chain, keeping the bits
-/// identical to the scalar kernel.
-pub fn matmul_t_into(
+/// Run `panel(rows, lo, hi)` over output rows `[lo, hi)` of the `m × n`
+/// row-major `out`, where `rows` is that row range of `out`: fanned out
+/// across the pool once the product reaches [`PAR_FLOPS_THRESHOLD`]
+/// multiply-adds, else once over all rows. Every output row is computed
+/// by the same arithmetic in either case, so the bits do not depend on
+/// the thread count.
+fn row_panels(
     out: &mut [f32],
-    a: &[f32],
     m: usize,
-    k: usize,
-    b: &[f32],
     n: usize,
-    acc: bool,
+    flops: usize,
+    panel: impl Fn(&mut [f32], usize, usize) + Sync,
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    let panel_fn = simd::choose_mt_matmul(n);
+    assert_eq!(out.len(), m * n, "output buffer is not {m} x {n}");
     let threads = pool::num_threads();
-    if m * n * k >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
+    if flops >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
         let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
         pool::parallel_ranges(m, |_, lo, hi| {
-            let panel =
+            // SAFETY: `out` holds `m × n` floats (asserted above) and
+            // `parallel_ranges` hands out disjoint `[lo, hi)` ranges of
+            // `0..m`, so each chunk's rows are in bounds and its own.
+            let rows =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo * n), (hi - lo) * n) };
-            panel_fn(panel, &a[lo * k..hi * k], b, hi - lo, k, n, acc);
+            panel(rows, lo, hi);
         });
     } else {
-        panel_fn(out, a, b, m, k, n, acc);
+        panel(out, 0, m);
     }
 }
 
 /// `out += a(rows×acols)ᵀ × b(rows×n)`; `out` must hold zeros (or a
 /// partial result to accumulate onto, but note the per-element rounding
-/// then interleaves — the tape only passes zeroed buffers).
+/// then interleaves — the tape only passes zeroed buffers). Output rows
+/// are columns of `a`; each chunk still runs k in full order.
 pub fn t_matmul_into(out: &mut [f32], a: &[f32], rows: usize, acols: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(out.len(), acols * n);
     debug_assert_eq!(a.len(), rows * acols);
     debug_assert_eq!(b.len(), rows * n);
-    let m = acols;
-    let panel_fn = simd::choose_t_matmul(n);
-    let threads = pool::num_threads();
-    if m * n * rows >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(m, |_, lo, hi| {
-            // Output rows [lo, hi) — i.e. columns [lo, hi) of A — are
-            // exclusive to this chunk; k still runs in full order.
-            let panel =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo * n), (hi - lo) * n) };
-            panel_fn(panel, a, b, rows, acols, n, lo, hi);
-        });
-    } else {
-        panel_fn(out, a, b, rows, acols, n, 0, m);
-    }
+    row_panels(out, acols, n, acols * n * rows, |panel, lo, hi| {
+        simd::t_panel(panel, a, b, rows, acols, n, lo, hi)
+    });
 }
 
-/// `out += a(m×k) × b(k×n)` with i-k-j ordering and optional row-panel
-/// threading, through the backend selected by [`simd::select_matmul`].
-/// `out` must be zeroed (or hold a partial result to accumulate onto).
+/// `out += a(m×k) × b(k×n)` with i-k-j ordering, the zero skip and
+/// optional row-panel threading. `out` must be zeroed (or hold a partial
+/// result to accumulate onto).
 pub fn matmul_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    matmul_into_with(simd::choose_matmul(n), out, a, m, k, b, n);
-}
-
-/// [`matmul_into`] with a pre-resolved panel kernel — the plan-time
-/// dispatch path (tape replay, frozen inference plans) that keeps
-/// selection out of the hot loop.
-pub fn matmul_into_with(
-    panel_fn: simd::PanelFn,
-    out: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    let flops = m * n * k;
-    let threads = pool::num_threads();
-    if flops >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(m, |_, lo, hi| {
-            // Row panels are disjoint slices of `out`.
-            let panel =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo * n), (hi - lo) * n) };
-            panel_fn(panel, &a[lo * k..hi * k], hi - lo, k, b, n);
-        });
-    } else {
-        panel_fn(out, a, m, k, b, n);
-    }
+    row_panels(out, m, n, m * n * k, |panel, lo, hi| {
+        simd::matmul_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
+    });
 }
 
 /// `out += a(m×k) × b(k×n)` without the zero-skip fast path: every
@@ -418,37 +355,13 @@ pub fn matmul_into_with(
 /// (including `-0.0` behavior and NaN propagation) is term-for-term
 /// identical to an unskipped sequential dot product. The backward pass
 /// uses this against a pre-transposed operand to compute `G · Wᵀ` with
-/// bits identical to [`matmul_t_into`]'s dot kernel but a vectorizable
-/// row-major inner loop.
+/// a vectorizable row-major inner loop.
 pub fn matmul_dense_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    matmul_dense_into_with(simd::choose_dense(n), out, a, m, k, b, n);
-}
-
-/// [`matmul_dense_into`] with a pre-resolved panel kernel.
-pub fn matmul_dense_into_with(
-    panel_fn: simd::PanelFn,
-    out: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    let flops = m * n * k;
-    let threads = pool::num_threads();
-    if flops >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(m, |_, lo, hi| {
-            let panel =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo * n), (hi - lo) * n) };
-            panel_fn(panel, &a[lo * k..hi * k], hi - lo, k, b, n);
-        });
-    } else {
-        panel_fn(out, a, m, k, b, n);
-    }
+    row_panels(out, m, n, m * n * k, |panel, lo, hi| {
+        simd::dense_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
+    });
 }
 
 /// `out[c][r] = a[r][c]` — materialize the transpose of a `rows × cols`
@@ -538,13 +451,6 @@ mod tests {
         let a = seeded(6, 4, 6);
         let b = seeded(6, 3, 7);
         assert_close(&a.t_matmul(&b), &a.transpose().matmul(&b), 1e-4);
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = seeded(5, 4, 8);
-        let b = seeded(7, 4, 9);
-        assert_close(&a.matmul_t(&b), &a.matmul(&b.transpose()), 1e-4);
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //!
 //! Every prediction is **bitwise identical** to
 //! [`mga_core::model::FusionModel::predict`]: the plan re-enters the
-//! same matmul / bias-activation kernels the tape uses (with the panel
-//! kernel resolved once at compile time), static embedding rows are
-//! row-stable under batching, and class decisions share the training
-//! argmax comparator. The property tests in `tests/serve_parity.rs`
-//! enforce this across request orderings, batch sizes, thread counts
-//! and cache states.
+//! same matmul / bias-activation kernels the tape uses on the process's
+//! one SIMD backend, static embedding rows are row-stable under
+//! batching, and class decisions share the training argmax comparator.
+//! The property tests in `tests/serve_parity.rs` enforce this across
+//! request orderings, batch sizes, thread counts and cache states.
 
 //!
 //! Serving is also the layer that must explain itself in production, so

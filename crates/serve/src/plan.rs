@@ -3,30 +3,24 @@
 use mga_core::model::FusionModel;
 use mga_nn::infer;
 use mga_nn::scaler::MinMaxScaler;
-use mga_nn::simd;
 use mga_nn::{FusedAct, Tensor};
 
-/// One fused-linear stage (trunk or head): its weights, the matmul panel
-/// kernel resolved at compile time — the per-request path is a cached
-/// function pointer, never a dispatch decision — and its bias.
+/// One fused-linear stage (trunk or head): its weights and bias.
 struct Stage {
     w: Tensor,
-    panel: simd::PanelFn,
     b: Tensor,
 }
 
 impl Stage {
     fn compile(w: &Tensor, b: &Tensor) -> Stage {
-        let (k, n) = w.shape();
         Stage {
             w: w.clone(),
-            panel: simd::select_matmul(1, k, n),
             b: b.clone(),
         }
     }
 
     fn forward(&self, out: &mut [f32], x: &[f32], rows: usize, act: FusedAct) {
-        infer::fused_linear_with(self.panel, out, x, rows, &self.w, &self.b, act)
+        infer::fused_linear_into(out, x, rows, &self.w, &self.b, act)
     }
 }
 
@@ -38,9 +32,9 @@ impl Stage {
 /// kernel.
 ///
 /// The forward pass re-enters the exact kernels the training tape's
-/// `FusedLinear` op calls (via [`infer::fused_linear_with`] with the
-/// panel resolved at compile time), so plan outputs are
-/// bitwise-identical to `FusionModel::predict` on the same inputs.
+/// `FusedLinear` op calls (via [`infer::fused_linear_into`], on the
+/// process's one SIMD backend), so plan outputs are bitwise-identical to
+/// `FusionModel::predict` on the same inputs.
 pub struct InferencePlan {
     trunk: Stage,
     heads: Vec<Stage>,
