@@ -24,12 +24,21 @@
 //! kernels, which no absolute record here can see. The trios sit below
 //! the kernels' parallel threshold, so they run on the calling thread
 //! at any `MGA_THREADS`.
+//!
+//! `gate_act_trio` times the GRU's three gate activations — the
+//! Sigmoid, Sigmoid and Tanh bias+activation passes — over a 512×12
+//! buffer, in the same alternation as the matmul trios. `act_ratio` is
+//! `gate_act_trio` over `matmul_trio_n12` in per-mille, a within-run
+//! ratio that gates the activation functions: an activation that stops
+//! vectorizing (a libm call, a row-bound loop) reads several times the
+//! committed ratio.
 
 use mga_bench::{finish_run, manifest, model_cfg, parse_opts, thread_dataset};
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{batch_targets, FusionModel, Modality};
 use mga_core::omp::OmpTask;
 use mga_nn::optim::AdamW;
+use mga_nn::tape::FusedAct;
 use mga_nn::tensor::{matmul_dense_into, matmul_into, t_matmul_into};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +116,24 @@ fn matmul_trio(w: usize) -> impl FnMut() {
         matmul_dense_into(&mut gx, &g, ROWS, w, &weight, w);
         t_matmul_into(&mut gw, &x, ROWS, w, &g, w);
         std::hint::black_box((&y, &gx, &gw));
+    }
+}
+
+/// The GRU gates' activations as a closure: the Sigmoid, Sigmoid and
+/// Tanh bias+activation passes over a 512×12 buffer, each refilled from
+/// the same fixed inputs in [−4, 4] first.
+fn gate_act_trio() -> impl FnMut() {
+    const LEN: usize = 512 * 12;
+    let mut rng = StdRng::seed_from_u64(12);
+    let input: Vec<f32> = (0..LEN).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+    let bias: Vec<f32> = (0..12).map(|_| rng.gen_range(-0.25f32..0.25)).collect();
+    let mut buf = vec![0.0f32; LEN];
+    move || {
+        for act in [FusedAct::Sigmoid, FusedAct::Sigmoid, FusedAct::Tanh] {
+            buf.copy_from_slice(&input);
+            act.bias_act(&mut buf, &bias);
+            std::hint::black_box(&buf);
+        }
     }
 }
 
@@ -237,23 +264,32 @@ fn main() {
         }
     }
 
-    let (mut n12, mut n16) = (matmul_trio(12), matmul_trio(16));
+    let (mut n12, mut n16, mut act) = (matmul_trio(12), matmul_trio(16), gate_act_trio());
     let trios = time_each(
-        &mut [("matmul_trio_n12", &mut n12), ("matmul_trio_n16", &mut n16)],
+        &mut [
+            ("matmul_trio_n12", &mut n12),
+            ("matmul_trio_n16", &mut n16),
+            ("gate_act_trio", &mut act),
+        ],
         &mut records,
     );
-    let (n12, n16) = (trios[0], trios[1]);
-    let ratio = (n12 / n16 * 1000.0).round();
-    println!(
-        "{:<28} {ratio:>16.1} per-mille (n12/n16)",
-        "matmul_tail_ratio"
-    );
-    records.push(format!(
-        "{{\"name\": \"matmul_tail_ratio\", \"iters\": 1, \"ns_per_iter\": {ratio:.1}}}"
-    ));
+    let (n12, n16, act) = (trios[0], trios[1], trios[2]);
+    let tail_ratio = (n12 / n16 * 1000.0).round();
+    let act_ratio = (act / n12 * 1000.0).round();
+    for (name, ratio, of) in [
+        ("matmul_tail_ratio", tail_ratio, "n12/n16"),
+        ("act_ratio", act_ratio, "act/n12"),
+    ] {
+        println!("{name:<28} {ratio:>16.1} per-mille ({of})");
+        records.push(format!(
+            "{{\"name\": \"{name}\", \"iters\": 1, \"ns_per_iter\": {ratio:.1}}}"
+        ));
+    }
     man.set_float("matmul_trio_n12_ns", n12)
         .set_float("matmul_trio_n16_ns", n16)
-        .set_float("matmul_tail_ratio_permille", ratio);
+        .set_float("gate_act_trio_ns", act)
+        .set_float("matmul_tail_ratio_permille", tail_ratio)
+        .set_float("act_ratio_permille", act_ratio);
 
     let path = "BENCH_train.json";
     let write_records = || -> std::io::Result<()> {

@@ -6,34 +6,22 @@
 //! recording. These helpers re-enter the *same* numeric kernels the tape
 //! ops call ([`crate::tensor::matmul_into`] with its i-k-j blocked
 //! accumulation on the process's one SIMD backend,
-//! [`crate::ew::bias_act`] for the row-broadcast bias +
-//! activation), so every output element is computed by the identical
-//! instruction sequence in the identical order: parity is structural, not
+//! [`FusedAct::bias_act`] for the row-broadcast bias + activation), so
+//! every output element is computed by the identical instruction
+//! sequence in the identical order: parity is structural, not
 //! approximate.
 //!
 //! All functions write into caller-provided buffers and allocate nothing;
 //! the serving engine recycles its buffers through an [`crate::arena::Arena`].
 
-use crate::ew;
 use crate::tape::FusedAct;
 use crate::tensor::{self, Tensor};
-
-/// Row-broadcast bias + activation over `out` — the tail of the fused
-/// linear kernel.
-fn apply_bias_act(out: &mut [f32], brow: &[f32], act: FusedAct) {
-    match act {
-        FusedAct::Identity => ew::bias_act(out, brow, |z| z),
-        FusedAct::Relu => ew::bias_act(out, brow, |z| z.max(0.0)),
-        FusedAct::Sigmoid => ew::bias_act(out, brow, |z| 1.0 / (1.0 + (-z).exp())),
-        FusedAct::Tanh => ew::bias_act(out, brow, f32::tanh),
-    }
-}
 
 /// `out[..rows*n] = act(x · w + b)` for row-major `x` (`rows × k`) and a
 /// weight tensor `w` (`k × n`) with bias `b` (`1 × n`) — the grad-free
 /// twin of the tape's `FusedLinear` op (same zero-fill, same matmul
-/// kernel, same fused bias+activation pass, hence bitwise-identical
-/// results row for row).
+/// kernel, same [`FusedAct::bias_act`], hence bitwise-identical results
+/// row for row).
 pub fn fused_linear_into(
     out: &mut [f32],
     x: &[f32],
@@ -48,7 +36,7 @@ pub fn fused_linear_into(
     debug_assert_eq!(b.shape(), (1, n), "bias must be [1 x cols]");
     out.fill(0.0);
     tensor::matmul_into(out, x, rows, k, w.data(), n);
-    apply_bias_act(out, b.row_slice(0), act);
+    act.bias_act(out, b.row_slice(0));
 }
 
 /// Index of the maximum element of `row` under `f32::total_cmp`, with

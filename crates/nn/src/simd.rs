@@ -203,12 +203,42 @@ pub fn scalar_t_panel(
 // ---- AVX2 panels -----------------------------------------------------------
 
 // Safe wrappers: the entry points above call these only when
-// `simd_enabled` (and tests only after checking `avx2_available`), so
-// the target-feature contract holds. On non-x86_64 they fall back to
-// scalar and are never chosen.
+// `simd_enabled` (and tests only after checking `avx2_available`). Each
+// one still asserts, in every build, that AVX2 is present and that the
+// slice lengths match the shape, because the tiles' pointer arithmetic
+// is in bounds only under those conditions. On non-x86_64 they fall
+// back to scalar and are never chosen.
+
+/// Panics unless `s` holds exactly `rows × cols` floats.
+#[track_caller]
+pub(crate) fn assert_len(s: &[f32], rows: usize, cols: usize, what: &str) {
+    assert!(
+        rows.checked_mul(cols) == Some(s.len()),
+        "{what} holds {} floats, not {rows} x {cols}",
+        s.len()
+    );
+}
+
+#[track_caller]
+fn assert_avx2() {
+    #[cfg(target_arch = "x86_64")]
+    assert!(avx2_available(), "AVX2 panel called on a CPU without AVX2");
+}
+
+/// The conditions an AVX2 `out += a(m×k) × b(k×n)` panel relies on.
+#[track_caller]
+fn assert_matmul_panel(out: &[f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    assert_avx2();
+    assert_len(out, m, n, "panel output");
+    assert_len(a, m, k, "panel a");
+    assert_len(b, k, n, "panel b");
+}
 
 pub fn avx2_matmul_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    assert_matmul_panel(out, a, m, k, b, n);
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 is present and the slices hold m×n, m×k and k×n
+    // floats (asserted above).
     unsafe {
         x86::matmul_panel::<true>(out, a, m, k, b, n)
     }
@@ -217,7 +247,9 @@ pub fn avx2_matmul_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f3
 }
 
 pub fn avx2_dense_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    assert_matmul_panel(out, a, m, k, b, n);
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: as in `avx2_matmul_panel`.
     unsafe {
         x86::matmul_panel::<false>(out, a, m, k, b, n)
     }
@@ -236,7 +268,17 @@ pub fn avx2_t_panel(
     lo: usize,
     hi: usize,
 ) {
+    assert_avx2();
+    assert!(
+        lo <= hi && hi <= acols,
+        "t_panel rows {lo}..{hi} are not within 0..{acols}"
+    );
+    assert_len(out, hi - lo, n, "t_panel output");
+    assert_len(a, rows, acols, "t_panel a");
+    assert_len(b, rows, n, "t_panel b");
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 is present, `lo <= hi <= acols`, and the slices hold
+    // (hi−lo)×n, rows×acols and rows×n floats (asserted above).
     unsafe {
         x86::t_panel(out, a, b, rows, acols, n, lo, hi)
     }
@@ -263,8 +305,9 @@ mod x86 {
     /// do the same arithmetic as in any other tile.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available. Slice bounds are debug
-    /// asserted; all pointer arithmetic stays within the slices, and
+    /// Caller must ensure AVX2 is available and that `out`, `a` and `b`
+    /// hold exactly `m×n`, `m×k` and `k×n` floats. Under those
+    /// conditions all pointer arithmetic stays within the slices, and
     /// masked-off lanes touch no memory.
     #[target_feature(enable = "avx2")]
     pub unsafe fn matmul_panel<const SKIP: bool>(
@@ -275,9 +318,6 @@ mod x86 {
         b: &[f32],
         n: usize,
     ) {
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
         let op = out.as_mut_ptr();
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -404,7 +444,9 @@ mod x86 {
     /// for the broadcast operand.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available.
+    /// Caller must ensure AVX2 is available, `lo <= hi <= acols`, and
+    /// that `out`, `a` and `b` hold exactly `(hi−lo)×n`, `rows×acols`
+    /// and `rows×n` floats.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn t_panel(
@@ -417,9 +459,6 @@ mod x86 {
         lo: usize,
         hi: usize,
     ) {
-        debug_assert_eq!(out.len(), (hi - lo) * n);
-        debug_assert_eq!(a.len(), rows * acols);
-        debug_assert_eq!(b.len(), rows * n);
         let op = out.as_mut_ptr();
         let ap = a.as_ptr();
         let bp = b.as_ptr();

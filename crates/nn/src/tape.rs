@@ -24,7 +24,7 @@
 //! [`Tape::scatter_mean_rows`] (mean aggregation of messages per target
 //! node), both differentiable — plus fused linear ops
 //! ([`Tape::linear`], [`Tape::linear2`]) that evaluate
-//! `act(x·w [+ x2·w2] + bias)` in one pass while keeping gradients and
+//! `act(x·w [+ x2·w2] + bias)` as one op while keeping gradients and
 //! rounding bitwise-identical to the unfused op sequence.
 
 use crate::aligned::AlignedVec;
@@ -45,6 +45,31 @@ pub enum FusedAct {
     Relu,
     Sigmoid,
     Tanh,
+}
+
+impl FusedAct {
+    /// `out[r][j] = act(out[r][j] + bias[j])` for each row of `out` (row
+    /// length `bias.len()`): the bias+activation tail of the fused linear
+    /// kernel, shared by the tape and the grad-free serving kernels.
+    ///
+    /// Identity and Relu run one row loop. Sigmoid and Tanh add the bias
+    /// row by row and then apply the activation over the whole buffer in
+    /// flat chunks, so a narrow row does not block vectorization; each
+    /// element still computes `act(o + b)` with the same roundings.
+    pub fn bias_act(self, out: &mut [f32], bias: &[f32]) {
+        match self {
+            FusedAct::Identity => ew::bias_act(out, bias, |z| z),
+            FusedAct::Relu => ew::bias_act(out, bias, |z| z.max(0.0)),
+            FusedAct::Sigmoid => {
+                ew::bias_act(out, bias, |z| z);
+                ew::map1_in_place(out, ew::sigmoid);
+            }
+            FusedAct::Tanh => {
+                ew::bias_act(out, bias, |z| z);
+                ew::map1_in_place(out, ew::tanh);
+            }
+        }
+    }
 }
 
 enum Op {
@@ -96,7 +121,7 @@ enum Op {
     /// `out[i][j] = a[i][j] / s[i][0]` — per-row division (attention
     /// normalization).
     DivRowScale(Var, Var),
-    /// `act((x·w [+ x2·w2]) + bias)` in one pass. Each `+` is its own
+    /// `act((x·w [+ x2·w2]) + bias)` as one op. Each `+` is its own
     /// rounding step in the forward kernel, and the backward dispatches
     /// in the unfused reverse-tape order (bias, then the x2/w2 pair,
     /// then x/w; input-grad before weight-grad), so both directions are
@@ -436,9 +461,7 @@ impl Tape {
         let shape = self.value(a).shape();
         let id = self.begin(shape.0, shape.1);
         let (prev, node) = split_nodes(&mut self.nodes, id);
-        ew::map1_to(node.value.data_mut(), prev[a.0].value.data(), |x| {
-            1.0 / (1.0 + (-x).exp())
-        });
+        ew::map1_to(node.value.data_mut(), prev[a.0].value.data(), ew::sigmoid);
         self.finish(id, Op::Sigmoid(a))
     }
 
@@ -446,7 +469,7 @@ impl Tape {
         let shape = self.value(a).shape();
         let id = self.begin(shape.0, shape.1);
         let (prev, node) = split_nodes(&mut self.nodes, id);
-        ew::map1_to(node.value.data_mut(), prev[a.0].value.data(), f32::tanh);
+        ew::map1_to(node.value.data_mut(), prev[a.0].value.data(), ew::tanh);
         self.finish(id, Op::Tanh(a))
     }
 
@@ -686,8 +709,9 @@ impl Tape {
         self.finish(id, Op::Dropout(a))
     }
 
-    /// Fused `act(x·w + bias)` — one output buffer, one bias+activation
-    /// sweep, bitwise-identical to `matmul` → `add_bias` → activation.
+    /// Fused `act(x·w + bias)` — one output buffer, bias and activation
+    /// applied in place by [`FusedAct::bias_act`], bitwise-identical to
+    /// `matmul` → `add_bias` → activation.
     pub fn linear(&mut self, x: Var, w: Var, bias: Var, act: FusedAct) -> Var {
         self.linear_impl(x, w, None, bias, act)
     }
@@ -745,13 +769,7 @@ impl Tape {
                 *o += s;
             }
         }
-        let brow = prev[bias.0].value.row_slice(0);
-        match act {
-            FusedAct::Identity => ew::bias_act(out, brow, |z| z),
-            FusedAct::Relu => ew::bias_act(out, brow, |z| z.max(0.0)),
-            FusedAct::Sigmoid => ew::bias_act(out, brow, |z| 1.0 / (1.0 + (-z).exp())),
-            FusedAct::Tanh => ew::bias_act(out, brow, f32::tanh),
-        }
+        act.bias_act(out, prev[bias.0].value.row_slice(0));
         if !scratch.is_empty() {
             self.arena.give(scratch);
         }

@@ -310,7 +310,7 @@ fn row_panels(
     flops: usize,
     panel: impl Fn(&mut [f32], usize, usize) + Sync,
 ) {
-    assert_eq!(out.len(), m * n, "output buffer is not {m} x {n}");
+    simd::assert_len(out, m, n, "output");
     let threads = pool::num_threads();
     if flops >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
         let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
@@ -332,8 +332,8 @@ fn row_panels(
 /// then interleaves — the tape only passes zeroed buffers). Output rows
 /// are columns of `a`; each chunk still runs k in full order.
 pub fn t_matmul_into(out: &mut [f32], a: &[f32], rows: usize, acols: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), rows * acols);
-    debug_assert_eq!(b.len(), rows * n);
+    simd::assert_len(a, rows, acols, "a");
+    simd::assert_len(b, rows, n, "b");
     row_panels(out, acols, n, acols * n * rows, |panel, lo, hi| {
         simd::t_panel(panel, a, b, rows, acols, n, lo, hi)
     });
@@ -343,8 +343,8 @@ pub fn t_matmul_into(out: &mut [f32], a: &[f32], rows: usize, acols: usize, b: &
 /// optional row-panel threading. `out` must be zeroed (or hold a partial
 /// result to accumulate onto).
 pub fn matmul_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+    simd::assert_len(a, m, k, "a");
+    simd::assert_len(b, k, n, "b");
     row_panels(out, m, n, m * n * k, |panel, lo, hi| {
         simd::matmul_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
     });
@@ -357,8 +357,8 @@ pub fn matmul_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n:
 /// uses this against a pre-transposed operand to compute `G · Wᵀ` with
 /// a vectorizable row-major inner loop.
 pub fn matmul_dense_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+    simd::assert_len(a, m, k, "a");
+    simd::assert_len(b, k, n, "b");
     row_panels(out, m, n, m * n * k, |panel, lo, hi| {
         simd::dense_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
     });
@@ -465,6 +465,31 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(4, 2);
         let _ = a.matmul(&b);
+    }
+
+    /// The length checks guard the AVX2 tiles' pointer arithmetic, so
+    /// they must fire in release builds too, before any panel runs.
+    #[test]
+    #[should_panic(expected = "b holds 23 floats, not 4 x 6")]
+    fn matmul_into_refuses_a_short_b() {
+        let (m, k, n) = (5, 4, 6);
+        let mut out = vec![0.0f32; m * n];
+        matmul_into(&mut out, &vec![1.0; m * k], m, k, &vec![1.0; k * n - 1], n);
+    }
+
+    #[test]
+    #[should_panic(expected = "a holds 35 floats, not 9 x 4")]
+    fn t_matmul_into_refuses_a_short_a() {
+        let (rows, acols, n) = (9, 4, 12);
+        let mut out = vec![0.0f32; acols * n];
+        t_matmul_into(
+            &mut out,
+            &vec![1.0; rows * acols - 1],
+            rows,
+            acols,
+            &vec![1.0; rows * n],
+            n,
+        );
     }
 
     #[test]
