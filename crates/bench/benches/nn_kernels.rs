@@ -1,4 +1,4 @@
-//! Microbenchmarks of the NN substrate: blocked/parallel matmul, GNN
+//! Microbenchmarks of the NN substrate: blocked matmul, GNN
 //! forward and forward+backward over a batch of real kernel graphs, and
 //! one DAE training epoch.
 

@@ -21,9 +21,8 @@
 //! widths 12 (the model's width: one full strip and a 4-column tail)
 //! and 16 (two full strips). `matmul_tail_ratio` is n12/n16 in
 //! per-mille: another within-run ratio, it gates the column-tail
-//! kernels, which no absolute record here can see. The trios sit below
-//! the kernels' parallel threshold, so they run on the calling thread
-//! at any `MGA_THREADS`.
+//! kernels, which no absolute record here can see. Like every kernel,
+//! the trios run on the calling thread at any `MGA_THREADS`.
 //!
 //! `gate_act_trio` times the GRU's three gate activations — the
 //! Sigmoid, Sigmoid and Tanh bias+activation passes — over a 512×12

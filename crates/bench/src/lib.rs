@@ -121,27 +121,18 @@ pub fn manifest(name: &str, opts: RunOpts) -> mga_obs::manifest::RunManifest {
     m
 }
 
-/// Finish an experiment run: stamp the pool's dispatch totals into the
-/// manifest, write it under `results/manifests/`, then flush the
-/// observability sinks (span-tree summary, `MGA_METRICS_OUT`, optional
-/// `MGA_POOL_STATS=1` dump).
+/// Finish an experiment run: stamp the pool's job and chunk totals into
+/// the manifest, write it under `results/manifests/`, then flush the
+/// observability sinks (span-tree summary, `MGA_METRICS_OUT`).
 pub fn finish_run(m: &mut mga_obs::manifest::RunManifest) {
-    let pool = mga_nn::pool::stats();
-    m.set_int(
-        "pool_jobs",
-        (pool.jobs_dispatched + pool.jobs_inline) as i64,
-    );
-    m.set_int(
-        "pool_chunks",
-        (pool.chunks_submitted + pool.chunks_inline) as i64,
-    );
-    m.set_float("pool_imbalance", pool.imbalance_ratio());
+    let total = |name| mga_obs::metrics::counter(name).get() as i64;
+    m.set_int("pool_jobs", total("pool.jobs"))
+        .set_int("pool_chunks", total("pool.chunks"));
     let path = std::path::Path::new("results/manifests").join(format!("{}.json", m.name()));
     match m.write(&path) {
         Ok(()) => mga_obs::info!("manifest written to {}", path.display()),
         Err(e) => mga_obs::error!("cannot write manifest {}: {e}", path.display()),
     }
-    mga_nn::pool::dump_stats_if_enabled();
     mga_obs::finish();
 }
 

@@ -127,8 +127,8 @@ pub fn stratified_kfold(labels: &[usize], k: usize, seed: u64) -> Vec<Fold> {
 /// per-fold seeds — the content of the output are identical to the
 /// sequential `folds.iter().map(...)` loop for any `MGA_THREADS`,
 /// including 1 (which forces the fully sequential path). Nested
-/// parallelism is fine: the per-fold model training reuses the same pool
-/// for its matmul/scatter kernels.
+/// parallelism is fine: each fold's training epochs fan their
+/// micro-batch replicas out over the same pool.
 pub fn run_folds<T, F>(folds: &[Fold], eval: F) -> Vec<T>
 where
     T: Send,
@@ -152,13 +152,11 @@ where
     mga_obs::span!("cv.run_folds");
     let fold_counter = mga_obs::metrics::counter("cv.folds");
     let mut out: Vec<Option<(T, f64)>> = (0..folds.len()).map(|_| None).collect();
-    let slots = mga_nn::pool::SendPtr::new(out.as_mut_ptr());
-    mga_nn::pool::parallel_for(folds.len(), |fi| {
+    mga_nn::pool::parallel_for_mut(&mut out, |fi, slot| {
         let started = std::time::Instant::now();
         let r = eval(fi, &folds[fi]);
         fold_counter.inc();
-        // Each fold owns slot `fi` exclusively.
-        unsafe { *slots.get().add(fi) = Some((r, started.elapsed().as_secs_f64())) };
+        *slot = Some((r, started.elapsed().as_secs_f64()));
     });
     out.into_iter()
         .map(|r| r.expect("every fold evaluates"))

@@ -1056,27 +1056,14 @@ impl FusionModel {
         }
         {
             mga_obs::span!("train_epoch.microbatches");
-            let replicas = pool::SendPtr::new(dp.replicas.as_mut_ptr());
-            let shards = pool::SendPtr::new(dp.shards.shards_mut().as_mut_ptr());
+            // Chunk i owns replica i and shard i; the model is only read.
+            let mut pairs: Vec<(&mut Replica, &mut GradShard)> =
+                dp.replicas.iter_mut().zip(dp.shards.shards_mut()).collect();
             let aux = prep.aux.as_ref();
             let model = &*self;
-            pool::parallel_for(w, |i| {
-                // Chunk i exclusively owns replica i and shard i; the
-                // model itself is only read.
-                let rep = unsafe { &mut *replicas.get().add(i) };
-                let shard = unsafe { &mut *shards.get().add(i) };
-                // The micro-batches already saturate the pool; keep each
-                // replica's kernels on its own thread (nesting bound).
-                pool::inline_scope(|| {
-                    rep.loss = model.micro_batch_pass(
-                        &mut rep.tape,
-                        shard,
-                        &micros[i],
-                        aux,
-                        targets,
-                        n_total,
-                    );
-                });
+            pool::parallel_for_mut(&mut pairs, |i, (rep, shard)| {
+                rep.loss =
+                    model.micro_batch_pass(&mut rep.tape, shard, &micros[i], aux, targets, n_total);
             });
         }
         let (mut alloc, mut reuse, mut steady) = (0u64, 0u64, 0u64);

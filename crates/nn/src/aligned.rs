@@ -39,8 +39,10 @@ pub struct AlignedVec {
     cap: usize,
 }
 
-// The buffer is plain `f32` data behind a unique owner.
+// SAFETY: the buffer is plain `f32` data owned by this value alone, like
+// a `Vec<f32>`'s, so moving it to another thread is sound.
 unsafe impl Send for AlignedVec {}
+// SAFETY: `&AlignedVec` only gives out `&[f32]`; mutation needs `&mut`.
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
@@ -70,6 +72,8 @@ impl AlignedVec {
         let layout = Self::layout(len);
         // Zeroed pages are what `vec![0.0; len]` produced before; the OS
         // gives them back pre-zeroed for large buffers, so cost matches.
+        // SAFETY: `layout` has a nonzero size (`len > 0`); a null result
+        // is handled below.
         let raw = unsafe { alloc_zeroed(layout) } as *mut f32;
         let ptr = NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout));
         AlignedVec { ptr, len, cap: len }
@@ -110,6 +114,8 @@ impl AlignedVec {
     pub fn resize_zeroed(&mut self, len: usize) {
         if len <= self.cap {
             if len > self.len {
+                // SAFETY: `self.len < len <= self.cap`, so the written
+                // range lies inside the allocation.
                 unsafe {
                     std::ptr::write_bytes(self.ptr.as_ptr().add(self.len), 0, len - self.len);
                 }
@@ -137,6 +143,8 @@ impl Default for AlignedVec {
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.cap > 0 {
+            // SAFETY: `cap > 0` means `ptr` came from `alloc_zeroed` with
+            // this very layout, and it is freed only here.
             unsafe { dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap)) };
         }
     }
@@ -146,6 +154,9 @@ impl Deref for AlignedVec {
     type Target = [f32];
     #[inline]
     fn deref(&self) -> &[f32] {
+        // SAFETY: `ptr` is aligned and non-null (dangling only when
+        // `len == 0`), and its first `len <= cap` floats are allocated and
+        // initialized (zero-filled on allocation and on growth).
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
@@ -153,6 +164,7 @@ impl Deref for AlignedVec {
 impl DerefMut for AlignedVec {
     #[inline]
     fn deref_mut(&mut self) -> &mut [f32] {
+        // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }

@@ -5,16 +5,17 @@
 //! reimplementation"), so this crate provides exactly the pieces the MGA
 //! pipeline needs:
 //!
-//! * [`tensor::Tensor`] — a dense row-major f32 tensor with blocked,
-//!   thread-parallel matrix multiplication,
-//! * [`pool`] — the persistent worker pool behind every parallel kernel
-//!   (sized by `available_parallelism`, overridable with `MGA_THREADS`;
-//!   all kernels are bitwise deterministic across thread counts),
+//! * [`tensor::Tensor`] — a dense row-major f32 tensor with blocked
+//!   matrix multiplication,
+//! * [`pool`] — the persistent worker pool that runs jobs (CV folds, an
+//!   epoch's micro-batch replicas; sized by `available_parallelism`,
+//!   overridable with `MGA_THREADS`); kernels run on their calling
+//!   thread, and results are bitwise identical across thread counts,
 //! * [`tape`] — reverse-mode automatic differentiation over an explicit
 //!   op tape, including the `gather`/`scatter` segment ops that make
 //!   message passing and whole-graph readout differentiable,
-//! * [`segment`] — the parallel gather/scatter row kernels those ops and
-//!   their backward passes share,
+//! * [`segment`] — the gather/scatter row kernels those ops and their
+//!   backward passes share,
 //! * [`arena`] — the size-class buffer free list behind the tape's
 //!   reset-and-replay memory plan (steady-state epochs allocate nothing),
 //! * [`aligned`] — the 64-byte-aligned `f32` buffers every tape/arena/

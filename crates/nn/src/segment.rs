@@ -1,31 +1,28 @@
 //! Segment (gather/scatter) row kernels shared by the tape's forward and
-//! backward passes, parallelized over the persistent [`crate::pool`].
+//! backward passes. They run on the calling thread.
 //!
-//! Bitwise determinism is load-bearing here: training must produce
-//! identical results for any `MGA_THREADS`. Gather partitions *output*
-//! rows, and each output row is a copy (or scaled copy) of one source
-//! row, so no accumulation crosses a chunk boundary. Scatter also
-//! partitions *output* rows; every chunk scans the full index list in
-//! order and accumulates only the destinations it owns, so each output
-//! row sees contributions in exactly the sequential order regardless of
-//! thread count (at the cost of re-scanning the index per chunk, which
-//! is cheap next to the row arithmetic).
+//! Each output row's bits depend only on its own inputs, taken in index
+//! order: a gathered row is a copy (or scaled copy) of one source row,
+//! and a scattered row accumulates its contributions in index-list
+//! order. So a row computed inside any micro-batch (`GraphBatch::subset`)
+//! or alone rounds exactly as in the full batch; the partition-invariance
+//! tests in `tests/parallel_parity.rs` pin this.
+//!
+//! Every kernel asserts its buffer lengths in all builds, and scatter
+//! asserts every destination index, before writing.
 
-use crate::pool;
-
-/// Element-count threshold above which segment ops fan out to the pool.
-const PAR_ELEMS_THRESHOLD: usize = 1 << 16;
+use crate::simd::assert_len;
 
 /// `out[i] = src[index[i]]` for row vectors of width `cols`.
 pub fn gather_rows_into(out: &mut [f32], src: &[f32], cols: usize, index: &[u32]) {
-    gather_dispatch(out, src, cols, index, None, false);
+    gather(out, src, cols, index, None, false);
 }
 
 /// `out[i] += src[index[i]]` — the scatter-sum backward, accumulate
 /// form. Each output row receives exactly one added row, so in-place
 /// accumulation rounds identically to materialize-then-`add_assign`.
 pub fn gather_rows_acc_into(out: &mut [f32], src: &[f32], cols: usize, index: &[u32]) {
-    gather_dispatch(out, src, cols, index, None, true);
+    gather(out, src, cols, index, None, true);
 }
 
 /// `out[i] = src[index[i]] * row_scale[index[i]]` — the scatter-mean
@@ -37,7 +34,7 @@ pub fn gather_rows_scaled_into(
     index: &[u32],
     row_scale: &[f32],
 ) {
-    gather_dispatch(out, src, cols, index, Some(row_scale), false);
+    gather(out, src, cols, index, Some(row_scale), false);
 }
 
 /// Accumulate form of [`gather_rows_scaled_into`]: `out[i] +=
@@ -49,10 +46,10 @@ pub fn gather_rows_scaled_acc_into(
     index: &[u32],
     row_scale: &[f32],
 ) {
-    gather_dispatch(out, src, cols, index, Some(row_scale), true);
+    gather(out, src, cols, index, Some(row_scale), true);
 }
 
-fn gather_dispatch(
+fn gather(
     out: &mut [f32],
     src: &[f32],
     cols: usize,
@@ -60,29 +57,7 @@ fn gather_dispatch(
     scale: Option<&[f32]>,
     acc: bool,
 ) {
-    debug_assert_eq!(out.len(), index.len() * cols);
-    if index.len() * cols >= PAR_ELEMS_THRESHOLD && pool::num_threads() > 1 && index.len() >= 2 {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(index.len(), |_, lo, hi| {
-            // Output rows [lo, hi) are exclusive to this chunk.
-            let panel = unsafe {
-                std::slice::from_raw_parts_mut(out_ptr.get().add(lo * cols), (hi - lo) * cols)
-            };
-            gather_range(panel, src, cols, &index[lo..hi], scale, acc);
-        });
-    } else {
-        gather_range(out, src, cols, index, scale, acc);
-    }
-}
-
-fn gather_range(
-    out: &mut [f32],
-    src: &[f32],
-    cols: usize,
-    index: &[u32],
-    scale: Option<&[f32]>,
-    acc: bool,
-) {
+    assert_len(out, index.len(), cols, "gather output");
     for (i, &s) in index.iter().enumerate() {
         let s = s as usize;
         let orow = &mut out[i * cols..(i + 1) * cols];
@@ -113,7 +88,8 @@ fn gather_range(
 /// `out[index[i]] += src[i]` for row vectors of width `cols`; with
 /// `mean`, each touched output row is then divided by its contribution
 /// count. Output rows no index entry points at are left untouched —
-/// empty groups read back as exact zeros (never `0/0 = NaN`).
+/// empty groups read back as exact zeros (never `0/0 = NaN`). Panics on
+/// an index entry at or past `out_rows`.
 pub fn scatter_rows_into(
     out: &mut [f32],
     out_rows: usize,
@@ -122,50 +98,23 @@ pub fn scatter_rows_into(
     index: &[u32],
     mean: bool,
 ) {
-    debug_assert_eq!(out.len(), out_rows * cols);
-    debug_assert_eq!(src.len(), index.len() * cols);
-    if index.len() * cols >= PAR_ELEMS_THRESHOLD && pool::num_threads() > 1 && out_rows >= 2 {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(out_rows, |_, lo, hi| {
-            let panel = unsafe {
-                std::slice::from_raw_parts_mut(out_ptr.get().add(lo * cols), (hi - lo) * cols)
-            };
-            scatter_range(panel, lo, hi, src, cols, index, mean);
-        });
-    } else {
-        scatter_range(out, 0, out_rows, src, cols, index, mean);
-    }
-}
-
-/// Accumulate the index entries landing in `[lo, hi)` into `out` (the
-/// panel for that row range), scanning the full index list in order so
-/// per-row accumulation order matches the sequential kernel exactly.
-fn scatter_range(
-    out: &mut [f32],
-    lo: usize,
-    hi: usize,
-    src: &[f32],
-    cols: usize,
-    index: &[u32],
-    mean: bool,
-) {
+    assert_len(out, out_rows, cols, "scatter output");
+    assert_len(src, index.len(), cols, "scatter src");
     // The counts are only consumed by the mean pass; skip the
     // allocation entirely for the (hot) sum form.
     let mut counts = if mean {
-        vec![0u32; hi - lo]
+        vec![0u32; out_rows]
     } else {
         Vec::new()
     };
     for (i, &dst) in index.iter().enumerate() {
         let dst = dst as usize;
-        if dst < lo || dst >= hi {
-            continue;
-        }
+        assert!(dst < out_rows, "scatter index {dst} out of {out_rows} rows");
         if mean {
-            counts[dst - lo] += 1;
+            counts[dst] += 1;
         }
         let srow = &src[i * cols..(i + 1) * cols];
-        let orow = &mut out[(dst - lo) * cols..(dst - lo + 1) * cols];
+        let orow = &mut out[dst * cols..(dst + 1) * cols];
         for (o, &x) in orow.iter_mut().zip(srow) {
             *o += x;
         }
@@ -183,15 +132,6 @@ fn scatter_range(
             }
         }
     }
-}
-
-/// Contribution count per output row for `index` (scatter in-degrees).
-pub fn row_counts(index: &[u32], out_rows: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; out_rows];
-    for &d in index {
-        counts[d as usize] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -253,31 +193,20 @@ mod tests {
         assert_eq!(out, vec![0.0; 8]);
     }
 
+    /// The length and index checks guard every write, so they must fire
+    /// in release builds too.
     #[test]
-    fn large_parallel_matches_sequential_range() {
-        // Cross the parallel threshold and compare against a direct
-        // single-range evaluation.
-        let rows = 512;
-        let cols = 160;
-        let groups = 37;
-        let src: Vec<f32> = (0..rows * cols).map(|i| (i % 101) as f32 * 0.25).collect();
-        let index: Vec<u32> = (0..rows as u32).map(|i| (i * 7) % groups as u32).collect();
-
-        let mut par = vec![0.0; groups * cols];
-        scatter_rows_into(&mut par, groups, &src, cols, &index, true);
-
-        let mut seq = vec![0.0; groups * cols];
-        scatter_range(&mut seq, 0, groups, &src, cols, &index, true);
-
-        assert!(par
-            .iter()
-            .zip(&seq)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    #[should_panic(expected = "scatter output holds 6 floats, not 2 x 2")]
+    fn scatter_refuses_an_output_one_row_too_long() {
+        let mut out = vec![0.0; 6];
+        scatter_rows_into(&mut out, 2, &[1.0, 2.0], 2, &[1], false);
     }
 
     #[test]
-    fn row_counts_matches_index() {
-        assert_eq!(row_counts(&[0, 2, 2, 2], 4), vec![1, 0, 3, 0]);
+    #[should_panic(expected = "scatter index 2 out of 2 rows")]
+    fn scatter_refuses_an_out_of_range_destination() {
+        let mut out = vec![0.0; 4];
+        scatter_rows_into(&mut out, 2, &[1.0, 2.0, 3.0, 4.0], 2, &[0, 2], false);
     }
 
     #[test]

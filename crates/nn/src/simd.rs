@@ -379,6 +379,12 @@ mod x86 {
     /// store. `a` is indexed `(i0+r)·k + kk`, `b` row-major. In a
     /// `MASKED` tile the last vector loads and stores only its lanes
     /// below column `n`.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available; that `out`, `a` and `b`
+    /// point at `m×n`, `m×k` and `k×n` floats for some `m >= i0 + MR`;
+    /// and that the tile's columns fit: `j0 + 8·NV <= n`, or with
+    /// `MASKED`, `j0 + 8·(NV−1) < n`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn tile<const SKIP: bool, const MASKED: bool, const MR: usize, const NV: usize>(
@@ -509,6 +515,12 @@ mod x86 {
     }
 
     /// One `MR × (8·NV)` tile of `aᵀ×b`; `MASKED` as in [`tile`].
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available; that `lo <= i0` and
+    /// `i0 + MR <= acols`; that `out`, `a` and `b` point at `(hi−lo)×n`
+    /// floats for some `hi >= i0 + MR`, `rows×acols` and `rows×n`
+    /// floats; and that the columns fit as for [`tile`].
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]

@@ -112,9 +112,6 @@ enum Op {
     /// Scalar mean squared error against a constant target tensor (stored
     /// in `aux`).
     MseLoss(Var),
-    /// Multiply by a cached 0/1-scaled mask (inverted dropout); the mask
-    /// lives in `aux`.
-    Dropout(Var),
     /// `out[i][j] = a[i][j] * s[i][0]` — scale each row of `a` by the
     /// matching entry of the column vector `s` (attention weights).
     MulRowScale(Var, Var),
@@ -143,8 +140,8 @@ struct Node {
     /// the first contribution).
     grad: Tensor,
     has_grad: bool,
-    /// Op-specific cache (softmax probs, dropout mask, mse target,
-    /// scatter-mean inverse counts); rewritten by each forward pass.
+    /// Op-specific cache (softmax probs, mse target, scatter-mean
+    /// inverse counts); rewritten by each forward pass.
     aux: Tensor,
 }
 
@@ -690,25 +687,6 @@ impl Tape {
         self.finish(id, Op::Scale(a, 1.0))
     }
 
-    /// Inverted dropout with an explicit pre-sampled mask whose entries are
-    /// `0.0` (dropped) or `1/(1-p)` (kept). Pass-through when training is
-    /// off by simply not calling this.
-    pub fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let shape = self.value(a).shape();
-        assert_eq!(shape, mask.shape(), "dropout mask shape");
-        let id = self.begin(shape.0, shape.1);
-        self.ensure_aux(id, shape.0, shape.1);
-        let (prev, node) = split_nodes(&mut self.nodes, id);
-        node.aux.data_mut().copy_from_slice(mask.data());
-        ew::map2_to(
-            node.value.data_mut(),
-            prev[a.0].value.data(),
-            node.aux.data(),
-            |x, m| x * m,
-        );
-        self.finish(id, Op::Dropout(a))
-    }
-
     /// Fused `act(x·w + bias)` — one output buffer, bias and activation
     /// applied in place by [`FusedAct::bias_act`], bitwise-identical to
     /// `matmul` → `add_bias` → activation.
@@ -1020,15 +998,6 @@ impl Tape {
                         ew::map2_acc(t.data_mut(), p.data(), aux.data(), |a, b| (a - b) * scale);
                     } else {
                         ew::map2_to(t.data_mut(), p.data(), aux.data(), |a, b| (a - b) * scale);
-                    }
-                }
-                &Op::Dropout(a) => {
-                    let mask = &node.aux;
-                    let (t, was) = target(prev, a, arena);
-                    if was {
-                        ew::map2_acc(t.data_mut(), g.data(), mask.data(), |gg, m| gg * m);
-                    } else {
-                        ew::map2_to(t.data_mut(), g.data(), mask.data(), |gg, m| gg * m);
                     }
                 }
                 &Op::MulRowScale(a, s) => {
@@ -1716,21 +1685,6 @@ mod tests {
         let loss = t.softmax_cross_entropy(logits, &[0]);
         // Uniform over two classes: loss = ln 2.
         assert!((t.value(loss).get(0, 0) - (2.0f32).ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn dropout_scales_and_masks() {
-        let mut t = Tape::new();
-        let x = t.leaf(Tensor::row(vec![1.0, 2.0, 3.0, 4.0]));
-        let mask = Tensor::row(vec![2.0, 0.0, 2.0, 0.0]); // p = 0.5 inverted
-        let d = t.dropout(x, mask);
-        assert_eq!(t.value(d).data(), &[2.0, 0.0, 6.0, 0.0]);
-        let loss = t.mse_loss(d, &Tensor::row(vec![0.0; 4]));
-        t.backward(loss);
-        let g = t.grad(x).expect("dropout grad");
-        assert_eq!(g.data()[1], 0.0);
-        assert_eq!(g.data()[3], 0.0);
-        assert!(g.data()[0] != 0.0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Dense row-major f32 tensors with cache-blocked, thread-parallel matmul.
+//! Dense row-major f32 tensors with cache-blocked matmul.
 //!
 //! Tensors here are rank-2 matrices `[rows, cols]`; vectors are `[1, n]`
 //! rows. That covers everything the MGA models need while keeping the
 //! kernels simple enough to optimize properly: the matmul is i-k-j loop
-//! ordered (streaming through `b` rows), blocked for L1/L2 reuse, and
-//! splits row-panels across the persistent worker pool ([`crate::pool`])
-//! for large problems. Row-panel partitioning keeps per-element
-//! accumulation order identical to the sequential kernel, so results are
-//! bitwise independent of the thread count.
+//! ordered (streaming through `b` rows) and blocked for L1/L2 reuse. The
+//! kernels run on the calling thread; parallelism lives one level up, in
+//! the jobs the worker pool ([`crate::pool`]) runs. Each output row's
+//! accumulation order is fixed, so a row computes the same bits in any
+//! micro-batch or alone.
 //!
 //! The inner row-panel kernels live in [`crate::simd`]: an explicit-AVX2
 //! register-blocked backend with a portable scalar fallback, both
@@ -17,12 +17,8 @@
 //! alignment contract.
 
 use crate::aligned::AlignedVec;
-use crate::pool;
 use crate::simd;
 use std::fmt;
-
-/// Threshold (in multiply-adds) above which matmul fans out to threads.
-const PAR_FLOPS_THRESHOLD: usize = 1 << 21;
 
 /// A dense row-major matrix of `f32` over 64-byte-aligned storage.
 #[derive(Clone, PartialEq)]
@@ -258,7 +254,7 @@ impl Tensor {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Matrix product `self × other`, parallel and cache-blocked.
+    /// Matrix product `self × other`, cache-blocked.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -297,57 +293,24 @@ impl Tensor {
     }
 }
 
-/// Run `panel(rows, lo, hi)` over output rows `[lo, hi)` of the `m × n`
-/// row-major `out`, where `rows` is that row range of `out`: fanned out
-/// across the pool once the product reaches [`PAR_FLOPS_THRESHOLD`]
-/// multiply-adds, else once over all rows. Every output row is computed
-/// by the same arithmetic in either case, so the bits do not depend on
-/// the thread count.
-fn row_panels(
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    flops: usize,
-    panel: impl Fn(&mut [f32], usize, usize) + Sync,
-) {
-    simd::assert_len(out, m, n, "output");
-    let threads = pool::num_threads();
-    if flops >= PAR_FLOPS_THRESHOLD && threads > 1 && m >= 2 * threads {
-        let out_ptr = pool::SendPtr::new(out.as_mut_ptr());
-        pool::parallel_ranges(m, |_, lo, hi| {
-            // SAFETY: `out` holds `m × n` floats (asserted above) and
-            // `parallel_ranges` hands out disjoint `[lo, hi)` ranges of
-            // `0..m`, so each chunk's rows are in bounds and its own.
-            let rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo * n), (hi - lo) * n) };
-            panel(rows, lo, hi);
-        });
-    } else {
-        panel(out, 0, m);
-    }
-}
-
 /// `out += a(rows×acols)ᵀ × b(rows×n)`; `out` must hold zeros (or a
 /// partial result to accumulate onto, but note the per-element rounding
 /// then interleaves — the tape only passes zeroed buffers). Output rows
-/// are columns of `a`; each chunk still runs k in full order.
+/// are columns of `a`; each runs k in full order.
 pub fn t_matmul_into(out: &mut [f32], a: &[f32], rows: usize, acols: usize, b: &[f32], n: usize) {
+    simd::assert_len(out, acols, n, "output");
     simd::assert_len(a, rows, acols, "a");
     simd::assert_len(b, rows, n, "b");
-    row_panels(out, acols, n, acols * n * rows, |panel, lo, hi| {
-        simd::t_panel(panel, a, b, rows, acols, n, lo, hi)
-    });
+    simd::t_panel(out, a, b, rows, acols, n, 0, acols);
 }
 
-/// `out += a(m×k) × b(k×n)` with i-k-j ordering, the zero skip and
-/// optional row-panel threading. `out` must be zeroed (or hold a partial
-/// result to accumulate onto).
+/// `out += a(m×k) × b(k×n)` with i-k-j ordering and the zero skip. `out`
+/// must be zeroed (or hold a partial result to accumulate onto).
 pub fn matmul_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    simd::assert_len(out, m, n, "output");
     simd::assert_len(a, m, k, "a");
     simd::assert_len(b, k, n, "b");
-    row_panels(out, m, n, m * n * k, |panel, lo, hi| {
-        simd::matmul_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
-    });
+    simd::matmul_panel(out, a, m, k, b, n);
 }
 
 /// `out += a(m×k) × b(k×n)` without the zero-skip fast path: every
@@ -357,11 +320,10 @@ pub fn matmul_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n:
 /// uses this against a pre-transposed operand to compute `G · Wᵀ` with
 /// a vectorizable row-major inner loop.
 pub fn matmul_dense_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    simd::assert_len(out, m, n, "output");
     simd::assert_len(a, m, k, "a");
     simd::assert_len(b, k, n, "b");
-    row_panels(out, m, n, m * n * k, |panel, lo, hi| {
-        simd::dense_panel(panel, &a[lo * k..hi * k], hi - lo, k, b, n)
-    });
+    simd::dense_panel(out, a, m, k, b, n);
 }
 
 /// `out[c][r] = a[r][c]` — materialize the transpose of a `rows × cols`
@@ -374,12 +336,6 @@ pub fn transpose_into(out: &mut [f32], a: &[f32], rows: usize, cols: usize) {
             out[c * rows + r] = v;
         }
     }
-}
-
-/// Number of compute threads the parallel kernels use (the persistent
-/// pool's size; respects `MGA_THREADS`).
-pub fn available_threads() -> usize {
-    pool::num_threads()
 }
 
 #[cfg(test)]
@@ -429,8 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_large_parallel() {
-        // Big enough to cross the parallel threshold.
+    fn matmul_matches_naive_large() {
         let a = seeded(256, 128, 3);
         let b = seeded(128, 96, 4);
         assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-2);
@@ -526,11 +481,6 @@ mod tests {
         let mut out = vec![100.0f32; 4];
         matmul_into(&mut out, a.data(), 2, 2, b.data(), 2);
         assert_eq!(out, vec![105.0, 106.0, 107.0, 108.0]);
-    }
-
-    #[test]
-    fn available_threads_is_positive() {
-        assert!(available_threads() >= 1);
     }
 
     #[test]

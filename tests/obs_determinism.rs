@@ -1,9 +1,9 @@
 //! Tracing must be observation-only: enabling the span tracer cannot
 //! change a single bit of any computation.
 //!
-//! The battery runs pool-backed tensor kernels plus a small end-to-end
-//! `FusionModel` fit/predict (exercising the `model.*`, `gnn.*`, `dae.*`
-//! and `pool.dispatch` spans), checksummed bitwise. It runs once with
+//! The battery runs tensor kernels plus a small end-to-end `FusionModel`
+//! fit/predict (exercising the `model.*`, `gnn.*`, `dae.*` and
+//! `pool.dispatch` spans), checksummed bitwise. It runs once with
 //! tracing disabled and once with in-memory span aggregation enabled;
 //! the checksums must be identical, and the second run must actually
 //! have recorded the instrumented spans.
@@ -72,8 +72,8 @@ fn small_cfg() -> ModelConfig {
     }
 }
 
-/// Pool-backed kernels above the parallel thresholds + a tiny end-to-end
-/// model fit/predict, all reduced to bit checksums.
+/// Large tensor kernels + a tiny end-to-end model fit/predict, all
+/// reduced to bit checksums.
 fn battery(ds: &OmpDataset) -> Vec<u64> {
     let mut sums = Vec::new();
     let mut rng = StdRng::seed_from_u64(4242);

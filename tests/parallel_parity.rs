@@ -1,19 +1,21 @@
 //! Bitwise parity of the parallel runtime with the sequential path.
 //!
-//! The pool-backed kernels (`matmul`, `matmul_dense`, `t_matmul`, the
-//! gather/scatter message-passing primitives) and the fold-parallel CV
-//! driver all partition work by *output row* while keeping each row's
-//! accumulation order fixed, so the result must be bit-identical for any
-//! thread count — including `MGA_THREADS=1`, which forces the fully
-//! sequential path.
+//! The kernels (`matmul`, `matmul_dense`, `t_matmul`, the gather/scatter
+//! message-passing primitives) keep each output row's accumulation order
+//! fixed, so a row computes the same bits whatever rows surround it —
+//! the property the `GraphBatch::subset` micro-batches of a
+//! data-parallel epoch rely on. The pool's jobs (fold-parallel CV, the
+//! epoch's replicas) hand each chunk its own output, so results must be
+//! bit-identical for any thread count — including `MGA_THREADS=1`,
+//! which forces the fully sequential path.
 //!
 //! Two layers of checks:
-//! * property tests that each output row of a (potentially parallel)
-//!   kernel call equals the same row computed alone — row computations
-//!   are partition-invariant, so no row split can change results;
+//! * property tests that each output row of a kernel call equals the
+//!   same row computed alone — row computations are partition-invariant,
+//!   so no row split can change results;
 //! * an end-to-end subprocess test that re-runs a kernel + CV battery
-//!   under `MGA_THREADS=1` and compares bit checksums with the parent
-//!   process running at the default thread count.
+//!   under `MGA_THREADS` 1 and 4 and compares bit checksums with the
+//!   parent process running at the default thread count.
 
 use mga::core::cv::{run_folds, Fold};
 use mga::nn::segment;
@@ -41,9 +43,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Each row of A×B equals the same row computed as a 1×k product:
-    /// row panels are independent, so any parallel row partition is
-    /// bitwise-identical to the sequential kernel. Shapes straddle the
-    /// parallel dispatch threshold (2^21 flops).
+    /// rows are independent, so any row partition is bitwise-identical
+    /// to the full product. Every fourth case is a large 2.56e6-flop
+    /// product.
     #[test]
     fn matmul_rows_are_partition_invariant(
         seed in 0u64..1000,
@@ -51,7 +53,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (m, k, n) = if big || seed % 4 == 0 {
-            (160, 100, 160) // 2.56e6 flops: above threshold, parallel
+            (160, 100, 160) // 2.56e6 flops
         } else {
             (
                 rng.gen_range(1usize..24),
@@ -104,10 +106,9 @@ proptest! {
         }
     }
 
-    /// Scatter partitions *output* rows; every chunk scans the full index
-    /// list in order, so each output row matches a standalone scatter of
-    /// just its own contributions. Sizes cross the parallel-elements
-    /// threshold (2^16) when seed % 3 == 0.
+    /// Scatter accumulates in index-list order, so each output row
+    /// matches a standalone scatter of just its own contributions. Sizes
+    /// reach 76800 elements when seed % 3 == 0.
     #[test]
     fn scatter_rows_are_partition_invariant(
         seed in 0u64..1000,
@@ -115,7 +116,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(21000));
         let (n_src, cols, out_rows) = if seed % 3 == 0 {
-            (1200, 64, 40) // 76800 elements: parallel dispatch
+            (1200, 64, 40) // 76800 elements
         } else {
             (
                 rng.gen_range(1usize..40),
@@ -154,8 +155,8 @@ proptest! {
         }
     }
 
-    /// Gathers are pure row copies — parallel or not, the output must be
-    /// exactly the indexed source rows.
+    /// Gathers are pure row copies — the output must be exactly the
+    /// indexed source rows.
     #[test]
     fn gather_rows_copy_exactly(seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(28000));
@@ -184,8 +185,7 @@ proptest! {
 
     /// The fused `linear` op (matmul → bias → activation in one node)
     /// is bitwise-identical to the unfused three-op sequence, values and
-    /// gradients both, at sizes on either side of the parallel matmul
-    /// threshold.
+    /// gradients both, at small and large (160×100×160) sizes.
     #[test]
     fn fused_linear_matches_unfused_bitwise(seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(35000));
@@ -367,8 +367,8 @@ proptest! {
     }
 }
 
-/// Bit checksum battery exercising every pool-backed code path at sizes
-/// above the parallel dispatch thresholds, plus a fold-parallel CV run.
+/// Bit checksum battery over the kernels at large sizes, plus a
+/// fold-parallel CV run.
 fn battery() -> Vec<u64> {
     let mut sums = Vec::new();
     let mut push = |data: &[f32]| {
@@ -398,7 +398,7 @@ fn battery() -> Vec<u64> {
         segment::gather_rows_into(&mut gathered, &mean[..], 64, &index);
         push(&gathered);
     }
-    // Fold-parallel CV on top of parallel kernels (nested pool use).
+    // Fold-parallel CV, with tensor work inside each fold.
     let folds: Vec<Fold> = (0..5)
         .map(|f| Fold {
             train: (0..60).filter(|i| i % 5 != f).collect(),
@@ -414,9 +414,9 @@ fn battery() -> Vec<u64> {
     for t in &outs {
         push(t.data());
     }
-    // Fused forward + in-place backward above the parallel matmul
-    // threshold, run as a 3-epoch persistent-tape training loop so the
-    // replay path itself is part of the cross-thread-count checksum.
+    // Fused forward + in-place backward at a large size, run as a
+    // 3-epoch persistent-tape training loop so the replay path itself is
+    // part of the cross-thread-count checksum.
     let mut rng = StdRng::seed_from_u64(9090);
     let x = rand_tensor(&mut rng, 160, 100);
     let mut w = rand_tensor(&mut rng, 100, 160);
