@@ -17,15 +17,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::aligned::{self, AlignedVec};
-
 /// Buffer pool + allocation accounting for one [`crate::tape::Tape`].
 #[derive(Default)]
 pub struct Arena {
     /// Free buffers by exact length. `BTreeMap` over `HashMap` because
     /// the handful of distinct size classes makes ordered lookup cheap
     /// and deterministic.
-    free: BTreeMap<usize, Vec<AlignedVec>>,
+    free: BTreeMap<usize, Vec<Vec<f32>>>,
     alloc_bytes: u64,
     reuse_count: u64,
 }
@@ -38,22 +36,20 @@ impl Arena {
     /// A transient buffer of exactly `len` elements with **unspecified
     /// contents** (recycled buffers keep their previous values); the
     /// caller must fully overwrite it and return it with [`Arena::give`]
-    /// before the pass ends. Always 64-byte aligned (the microkernel
-    /// alignment contract is enforced here, at the source).
-    pub fn take(&mut self, len: usize) -> AlignedVec {
+    /// before the pass ends.
+    pub fn take(&mut self, len: usize) -> Vec<f32> {
         if let Some(bufs) = self.free.get_mut(&len) {
             if let Some(buf) = bufs.pop() {
                 self.reuse_count += 1;
-                debug_assert!(aligned::is_aligned(&buf), "recycled buffer lost alignment");
                 return buf;
             }
         }
         self.alloc_bytes += (len * std::mem::size_of::<f32>()) as u64;
-        AlignedVec::zeroed(len)
+        vec![0.0; len]
     }
 
     /// Like [`Arena::take`] but zero-filled (for accumulation targets).
-    pub fn take_zeroed(&mut self, len: usize) -> AlignedVec {
+    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
         let mut buf = self.take(len);
         buf.fill(0.0);
         buf
@@ -64,18 +60,14 @@ impl Arena {
     /// one-time adoptions happen mid-pass, and letting them consume a
     /// scratch buffer some op returns and re-takes every pass would push
     /// one stray allocation into the first replay.
-    pub fn take_persistent(&mut self, len: usize) -> AlignedVec {
+    pub fn take_persistent(&mut self, len: usize) -> Vec<f32> {
         self.alloc_bytes += (len * std::mem::size_of::<f32>()) as u64;
-        AlignedVec::zeroed(len)
+        vec![0.0; len]
     }
 
     /// Return a buffer to the free list for later reuse.
-    pub fn give(&mut self, buf: AlignedVec) {
+    pub fn give(&mut self, buf: Vec<f32>) {
         if !buf.is_empty() {
-            debug_assert!(
-                aligned::is_aligned(&buf),
-                "returned buffer violates alignment"
-            );
             self.free.entry(buf.len()).or_default().push(buf);
         }
     }
@@ -121,20 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn all_flavors_hand_out_aligned_buffers() {
-        let mut a = Arena::new();
-        for len in [1, 7, 24, 100] {
-            assert!(aligned::is_aligned(&a.take(len)));
-            assert!(aligned::is_aligned(&a.take_zeroed(len)));
-            assert!(aligned::is_aligned(&a.take_persistent(len)));
-        }
-        // Recycled buffers keep the alignment of their allocation.
-        let b = a.take(32);
-        a.give(b);
-        assert!(aligned::is_aligned(&a.take(32)));
-    }
-
-    #[test]
     fn take_zeroed_clears_recycled_contents() {
         let mut a = Arena::new();
         let mut b = a.take(8);
@@ -146,7 +124,7 @@ mod tests {
     #[test]
     fn distinct_lengths_use_distinct_classes() {
         let mut a = Arena::new();
-        a.give(AlignedVec::filled(4, 1.0));
+        a.give(vec![1.0; 4]);
         let b = a.take(8);
         assert_eq!(b.len(), 8);
         assert_eq!(a.reuse_count(), 0, "length mismatch must not reuse");
@@ -156,7 +134,7 @@ mod tests {
     #[test]
     fn persistent_take_leaves_free_list_untouched() {
         let mut a = Arena::new();
-        a.give(AlignedVec::filled(8, 1.0));
+        a.give(vec![1.0; 8]);
         let p = a.take_persistent(8);
         assert_eq!(p.len(), 8);
         assert_eq!(a.alloc_bytes(), 32, "persistent take always allocates");

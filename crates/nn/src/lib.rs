@@ -18,8 +18,6 @@
 //!   backward passes share,
 //! * [`arena`] — the size-class buffer free list behind the tape's
 //!   reset-and-replay memory plan (steady-state epochs allocate nothing),
-//! * [`aligned`] — the 64-byte-aligned `f32` buffers every tape/arena/
-//!   plan allocation is backed by (the microkernel alignment contract),
 //! * [`simd`] — register-blocked AVX2 microkernels with a bitwise-
 //!   identical scalar fallback; the process's backend is the only
 //!   kernel choice (`MGA_SIMD=0` kill switch),
@@ -37,7 +35,6 @@
 //! Everything is deterministic given a seed; gradients are validated
 //! against finite differences in the test suite.
 
-pub mod aligned;
 pub mod arena;
 pub mod ew;
 pub mod infer;

@@ -105,24 +105,14 @@ pub(crate) fn dense_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f
     }
 }
 
-/// Output rows `[lo, hi)` of `a(rows×acols)ᵀ × b(rows×n)` accumulated
-/// into `out` (the weight-gradient kernel), on the active backend.
+/// `out += a(rows×acols)ᵀ × b(rows×n)` (the weight-gradient kernel), on
+/// the active backend.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn t_panel(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    acols: usize,
-    n: usize,
-    lo: usize,
-    hi: usize,
-) {
+pub(crate) fn t_panel(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, acols: usize, n: usize) {
     if simd_enabled() {
-        avx2_t_panel(out, a, b, rows, acols, n, lo, hi)
+        avx2_t_panel(out, a, b, rows, acols, n)
     } else {
-        scalar_t_panel(out, a, b, rows, acols, n, lo, hi)
+        scalar_t_panel(out, a, b, rows, acols, n)
     }
 }
 
@@ -170,29 +160,18 @@ pub fn scalar_dense_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f
     }
 }
 
-/// Output rows `[lo, hi)` of `aᵀ × b` (`a` is `rows × acols`, `b` is
-/// `rows × n`), accumulating in full ascending-k order with the zero
+/// `out += aᵀ × b` (`a` is `rows × acols`, `b` is `rows × n`, `out` is
+/// `acols × n`), accumulating in full ascending-k order with the zero
 /// skip — the historical `t_matmul_panel`.
-#[allow(clippy::too_many_arguments)]
-pub fn scalar_t_panel(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    acols: usize,
-    n: usize,
-    lo: usize,
-    hi: usize,
-) {
+pub fn scalar_t_panel(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, acols: usize, n: usize) {
     for k in 0..rows {
         let arow = &a[k * acols..(k + 1) * acols];
         let brow = &b[k * n..(k + 1) * n];
-        for i in lo..hi {
-            let av = arow[i];
+        for (i, &av) in arow.iter().enumerate() {
             if av == 0.0 {
                 continue;
             }
-            let orow = &mut out[(i - lo) * n..(i - lo + 1) * n];
+            let orow = &mut out[i * n..(i + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
             }
@@ -257,33 +236,19 @@ pub fn avx2_dense_panel(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32
     scalar_dense_panel(out, a, m, k, b, n)
 }
 
-#[allow(clippy::too_many_arguments)]
-pub fn avx2_t_panel(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    acols: usize,
-    n: usize,
-    lo: usize,
-    hi: usize,
-) {
+pub fn avx2_t_panel(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, acols: usize, n: usize) {
     assert_avx2();
-    assert!(
-        lo <= hi && hi <= acols,
-        "t_panel rows {lo}..{hi} are not within 0..{acols}"
-    );
-    assert_len(out, hi - lo, n, "t_panel output");
+    assert_len(out, acols, n, "t_panel output");
     assert_len(a, rows, acols, "t_panel a");
     assert_len(b, rows, n, "t_panel b");
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 is present, `lo <= hi <= acols`, and the slices hold
-    // (hi−lo)×n, rows×acols and rows×n floats (asserted above).
+    // SAFETY: AVX2 is present, and the slices hold acols×n, rows×acols
+    // and rows×n floats (asserted above).
     unsafe {
-        x86::t_panel(out, a, b, rows, acols, n, lo, hi)
+        x86::t_panel(out, a, b, rows, acols, n)
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar_t_panel(out, a, b, rows, acols, n, lo, hi);
+    scalar_t_panel(out, a, b, rows, acols, n);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -444,17 +409,14 @@ mod x86 {
         }
     }
 
-    /// Register-blocked `aᵀ×b` panel for output rows `[lo, hi)` — the
-    /// weight-gradient kernel. Same strips and masked last strip as
-    /// [`matmul_panel`]; `a` is walked down column `i` (stride `acols`)
-    /// for the broadcast operand.
+    /// Register-blocked `aᵀ×b` panel — the weight-gradient kernel. Same
+    /// strips and masked last strip as [`matmul_panel`]; `a` is walked
+    /// down column `i` (stride `acols`) for the broadcast operand.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available, `lo <= hi <= acols`, and
-    /// that `out`, `a` and `b` hold exactly `(hi−lo)×n`, `rows×acols`
-    /// and `rows×n` floats.
+    /// Caller must ensure AVX2 is available and that `out`, `a` and `b`
+    /// hold exactly `acols×n`, `rows×acols` and `rows×n` floats.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn t_panel(
         out: &mut [f32],
         a: &[f32],
@@ -462,53 +424,51 @@ mod x86 {
         rows: usize,
         acols: usize,
         n: usize,
-        lo: usize,
-        hi: usize,
     ) {
         let op = out.as_mut_ptr();
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let mut j = 0usize;
         while j + 16 <= n {
-            let mut i = lo;
-            while i + 4 <= hi {
-                t_tile::<false, 4, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+            let mut i = 0usize;
+            while i + 4 <= acols {
+                t_tile::<false, 4, 2>(op, ap, bp, rows, acols, n, i, j);
                 i += 4;
             }
-            while i < hi {
-                t_tile::<false, 1, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+            while i < acols {
+                t_tile::<false, 1, 2>(op, ap, bp, rows, acols, n, i, j);
                 i += 1;
             }
             j += 16;
         }
         if j + 8 < n {
-            let mut i = lo;
-            while i + 4 <= hi {
-                t_tile::<true, 4, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+            let mut i = 0usize;
+            while i + 4 <= acols {
+                t_tile::<true, 4, 2>(op, ap, bp, rows, acols, n, i, j);
                 i += 4;
             }
-            while i < hi {
-                t_tile::<true, 1, 2>(op, ap, bp, rows, acols, n, lo, i, j);
+            while i < acols {
+                t_tile::<true, 1, 2>(op, ap, bp, rows, acols, n, i, j);
                 i += 1;
             }
         } else if j + 8 == n {
-            let mut i = lo;
-            while i + 4 <= hi {
-                t_tile::<false, 4, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+            let mut i = 0usize;
+            while i + 4 <= acols {
+                t_tile::<false, 4, 1>(op, ap, bp, rows, acols, n, i, j);
                 i += 4;
             }
-            while i < hi {
-                t_tile::<false, 1, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+            while i < acols {
+                t_tile::<false, 1, 1>(op, ap, bp, rows, acols, n, i, j);
                 i += 1;
             }
         } else if j < n {
-            let mut i = lo;
-            while i + 4 <= hi {
-                t_tile::<true, 4, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+            let mut i = 0usize;
+            while i + 4 <= acols {
+                t_tile::<true, 4, 1>(op, ap, bp, rows, acols, n, i, j);
                 i += 4;
             }
-            while i < hi {
-                t_tile::<true, 1, 1>(op, ap, bp, rows, acols, n, lo, i, j);
+            while i < acols {
+                t_tile::<true, 1, 1>(op, ap, bp, rows, acols, n, i, j);
                 i += 1;
             }
         }
@@ -517,10 +477,9 @@ mod x86 {
     /// One `MR × (8·NV)` tile of `aᵀ×b`; `MASKED` as in [`tile`].
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available; that `lo <= i0` and
-    /// `i0 + MR <= acols`; that `out`, `a` and `b` point at `(hi−lo)×n`
-    /// floats for some `hi >= i0 + MR`, `rows×acols` and `rows×n`
-    /// floats; and that the columns fit as for [`tile`].
+    /// Caller must ensure AVX2 is available; that `i0 + MR <= acols`;
+    /// that `out`, `a` and `b` point at `acols×n`, `rows×acols` and
+    /// `rows×n` floats; and that the columns fit as for [`tile`].
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -531,7 +490,6 @@ mod x86 {
         rows: usize,
         acols: usize,
         n: usize,
-        lo: usize,
         i0: usize,
         j0: usize,
     ) {
@@ -539,7 +497,7 @@ mod x86 {
         let mut acc = [[_mm256_setzero_ps(); NV]; MR];
         for r in 0..MR {
             for v in 0..NV {
-                let o = out.add((i0 - lo + r) * n + j0 + 8 * v);
+                let o = out.add((i0 + r) * n + j0 + 8 * v);
                 acc[r][v] = if MASKED && v == NV - 1 {
                     _mm256_maskload_ps(o, mask)
                 } else {
@@ -572,7 +530,7 @@ mod x86 {
         }
         for r in 0..MR {
             for v in 0..NV {
-                let o = out.add((i0 - lo + r) * n + j0 + 8 * v);
+                let o = out.add((i0 + r) * n + j0 + 8 * v);
                 if MASKED && v == NV - 1 {
                     _mm256_maskstore_ps(o, mask, acc[r][v]);
                 } else {

@@ -27,7 +27,6 @@
 //! `act(x·w [+ x2·w2] + bias)` as one op while keeping gradients and
 //! rounding bitwise-identical to the unfused op sequence.
 
-use crate::aligned::AlignedVec;
 use crate::arena::Arena;
 use crate::ew;
 use crate::params::{ParamId, ParamSet};
@@ -726,7 +725,7 @@ impl Tape {
         let mut scratch = if x2w2.is_some() {
             self.arena.take(m * n)
         } else {
-            AlignedVec::new()
+            Vec::new()
         };
         let (prev, node) = split_nodes(&mut self.nodes, id);
         let out = node.value.data_mut();

@@ -12,20 +12,18 @@
 //! The inner row-panel kernels live in [`crate::simd`]: an explicit-AVX2
 //! register-blocked backend with a portable scalar fallback, both
 //! bitwise-identical per element, chosen by the process-wide backend
-//! alone. Tensor storage is 64-byte aligned ([`crate::aligned`]), so
-//! every full buffer entering these kernels honors the microkernel
-//! alignment contract.
+//! alone. Storage is a plain `Vec<f32>`; the kernels load and store
+//! unaligned, so they need no particular base address.
 
-use crate::aligned::AlignedVec;
 use crate::simd;
 use std::fmt;
 
-/// A dense row-major matrix of `f32` over 64-byte-aligned storage.
+/// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
-    data: AlignedVec,
+    data: Vec<f32>,
 }
 
 impl fmt::Debug for Tensor {
@@ -44,7 +42,7 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: AlignedVec::zeroed(rows * cols),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -54,7 +52,7 @@ impl Tensor {
         Tensor {
             rows: 0,
             cols: 0,
-            data: AlignedVec::new(),
+            data: Vec::new(),
         }
     }
 
@@ -66,7 +64,11 @@ impl Tensor {
     pub fn reset_shape(&mut self, rows: usize, cols: usize) -> usize {
         let len = rows * cols;
         let grew = len.saturating_sub(self.data.capacity()) * std::mem::size_of::<f32>();
-        self.data.resize_zeroed(len);
+        // Grow to exactly `len`, so capacity, and with it the byte count
+        // above, tracks what was asked for; a plain `resize` may round
+        // the capacity up to twice the old one.
+        self.data.reserve_exact(len.saturating_sub(self.data.len()));
+        self.data.resize(len, 0.0);
         self.rows = rows;
         self.cols = cols;
         grew
@@ -74,21 +76,17 @@ impl Tensor {
 
     /// Take ownership of the backing buffer, leaving `self` empty. Used
     /// by the tape to return node storage to its arena.
-    pub fn take_data(&mut self) -> AlignedVec {
+    pub fn take_data(&mut self) -> Vec<f32> {
         self.rows = 0;
         self.cols = 0;
-        self.data.take()
+        std::mem::take(&mut self.data)
     }
 
     /// Adopt `data` as the backing buffer for a `rows × cols` view.
     /// Panics if the length disagrees (the arena hands back exact
     /// size-class matches).
-    pub fn adopt(&mut self, rows: usize, cols: usize, data: AlignedVec) {
+    pub fn adopt(&mut self, rows: usize, cols: usize, data: Vec<f32>) {
         assert_eq!(data.len(), rows * cols, "adopted buffer length mismatch");
-        debug_assert!(
-            crate::aligned::is_aligned(&data),
-            "adopted buffer violates the 64-byte alignment contract"
-        );
         self.rows = rows;
         self.cols = cols;
         self.data = data;
@@ -105,11 +103,11 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: AlignedVec::filled(rows * cols, v),
+            data: vec![v; rows * cols],
         }
     }
 
-    /// Build from a flat row-major buffer (copied into aligned storage).
+    /// Build from a flat row-major buffer, adopting it as storage.
     /// Panics if lengths disagree.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Tensor {
         assert_eq!(
@@ -118,11 +116,7 @@ impl Tensor {
             "buffer length {} != {rows}x{cols}",
             data.len()
         );
-        Tensor {
-            rows,
-            cols,
-            data: AlignedVec::from_slice(&data),
-        }
+        Tensor { rows, cols, data }
     }
 
     /// A `1 × n` row vector.
@@ -130,7 +124,7 @@ impl Tensor {
         Tensor {
             rows: 1,
             cols: data.len(),
-            data: AlignedVec::from_slice(&data),
+            data,
         }
     }
 
@@ -301,7 +295,7 @@ pub fn t_matmul_into(out: &mut [f32], a: &[f32], rows: usize, acols: usize, b: &
     simd::assert_len(out, acols, n, "output");
     simd::assert_len(a, rows, acols, "a");
     simd::assert_len(b, rows, n, "b");
-    simd::t_panel(out, a, b, rows, acols, n, 0, acols);
+    simd::t_panel(out, a, b, rows, acols, n);
 }
 
 /// `out += a(m×k) × b(k×n)` with i-k-j ordering and the zero skip. `out`
@@ -481,6 +475,31 @@ mod tests {
         let mut out = vec![100.0f32; 4];
         matmul_into(&mut out, a.data(), 2, 2, b.data(), 2);
         assert_eq!(out, vec![105.0, 106.0, 107.0, 108.0]);
+    }
+
+    /// A failing `assert_eq!` on small tensors shows their values.
+    #[test]
+    fn debug_prints_small_tensor_values() {
+        assert_eq!(
+            format!("{:?}", Tensor::row(vec![1.0, 2.0])),
+            "Tensor[1x2] [1.0, 2.0]"
+        );
+    }
+
+    /// `reset_shape` reports growth past capacity in bytes, and a shrink
+    /// or a regrowth within capacity keeps the buffer.
+    #[test]
+    fn reset_shape_reports_exact_growth() {
+        let mut t = Tensor::zeros(2, 3);
+        assert_eq!(t.data.capacity(), 6);
+        assert_eq!(t.reset_shape(2, 4), (8 - 6) * 4);
+        assert_eq!(t.data.capacity(), 8, "growth allocates exactly");
+        let base = t.data().as_ptr();
+        assert_eq!(t.reset_shape(1, 3), 0);
+        assert_eq!((t.len(), t.data.capacity()), (3, 8));
+        assert_eq!(t.data().as_ptr(), base, "a shrink keeps the allocation");
+        assert_eq!(t.reset_shape(4, 2), 0);
+        assert_eq!(t.data().as_ptr(), base, "a regrowth reuses it");
     }
 
     #[test]

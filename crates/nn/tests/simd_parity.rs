@@ -16,12 +16,8 @@
 //! * a subprocess test re-runs a kernel + training battery under every
 //!   `MGA_SIMD` × `MGA_THREADS` combination and compares checksums with
 //!   the parent (the backend is latched once per process, so the kill
-//!   switch needs a child process to exercise);
-//! * alignment spot checks that tensor/arena storage honors the 64-byte
-//!   contract the kernels are tuned for.
+//!   switch needs a child process to exercise).
 
-use mga_nn::aligned;
-use mga_nn::arena::Arena;
 use mga_nn::simd;
 use mga_nn::tape::{FusedAct, Tape};
 use mga_nn::tensor::Tensor;
@@ -90,8 +86,7 @@ proptest! {
         prop_assert_eq!(bits(&scalar), bits(&vector));
     }
 
-    /// `aᵀ×b` panel (weight gradients), including interior `[lo, hi)`
-    /// row ranges as the thread pool would carve them.
+    /// `aᵀ×b` panel (weight gradients).
     #[test]
     fn t_panels_bitwise_equal(seed in 0u64..10_000) {
         if !simd::avx2_available() {
@@ -101,14 +96,12 @@ proptest! {
         let rows = rng.gen_range(1usize..30);
         let acols = rng.gen_range(1usize..23);
         let n = rng.gen_range(0usize..50);
-        let lo = rng.gen_range(0usize..acols);
-        let hi = rng.gen_range(lo..=acols);
         let a = rand_data(&mut rng, rows * acols, 0.25);
         let b = rand_data(&mut rng, rows * n, 0.0);
-        let mut scalar = rand_data(&mut rng, (hi - lo) * n, 0.0);
+        let mut scalar = rand_data(&mut rng, acols * n, 0.0);
         let mut vector = scalar.clone();
-        simd::scalar_t_panel(&mut scalar, &a, &b, rows, acols, n, lo, hi);
-        simd::avx2_t_panel(&mut vector, &a, &b, rows, acols, n, lo, hi);
+        simd::scalar_t_panel(&mut scalar, &a, &b, rows, acols, n);
+        simd::avx2_t_panel(&mut vector, &a, &b, rows, acols, n);
         prop_assert_eq!(bits(&scalar), bits(&vector));
     }
 }
@@ -168,10 +161,10 @@ fn run_guarded(case: &str, out: &[f32], kernel: impl FnOnce(&mut [f32])) -> Vec<
 
 /// Every column-tail width, deterministically: the proptests draw `n`
 /// at random, so any one `n % 8` is hit only by chance. For `n` in
-/// 1..=33 the zero-skip, dense and `aᵀ×b` panels (full and interior row
-/// ranges) must match scalar bits, NaN payloads aside. Inputs are laced
-/// with exact zeros, and the last column of `b` and of the initial
-/// output cycles through NaN, ±∞ and −0.0.
+/// 1..=33 the zero-skip, dense and `aᵀ×b` panels must match scalar
+/// bits, NaN payloads aside. Inputs are laced with exact zeros, and the
+/// last column of `b` and of the initial output cycles through NaN, ±∞
+/// and −0.0.
 #[test]
 fn every_tail_width_matches_scalar_bitwise() {
     if !simd::avx2_available() {
@@ -206,39 +199,13 @@ fn every_tail_width_matches_scalar_bitwise() {
                 let v = run_guarded(&case, &out, |o| simd::avx2_dense_panel(o, &a, m, k, &b, n));
                 assert_eq!(s, v, "{case} diverged");
 
-                // `a` read as k rows × m columns: output rows [lo, hi).
-                for (lo, hi) in [(0, m), (m / 3, m - m / 3)] {
-                    let case = format!("t_panel n={n} m={m} k={k} rows {lo}..{hi}");
-                    let o = &out[..(hi - lo) * n];
-                    let s = run_guarded(&case, o, |o| {
-                        simd::scalar_t_panel(o, &a, &b, k, m, n, lo, hi)
-                    });
-                    let v =
-                        run_guarded(&case, o, |o| simd::avx2_t_panel(o, &a, &b, k, m, n, lo, hi));
-                    assert_eq!(s, v, "{case} diverged");
-                }
+                // `a` read as k rows × m columns.
+                let case = format!("t_panel n={n} m={m} k={k}");
+                let s = run_guarded(&case, &out, |o| simd::scalar_t_panel(o, &a, &b, k, m, n));
+                let v = run_guarded(&case, &out, |o| simd::avx2_t_panel(o, &a, &b, k, m, n));
+                assert_eq!(s, v, "{case} diverged");
             }
         }
-    }
-}
-
-/// Tensor and arena storage all honors the 64-byte alignment contract
-/// the microkernels are tuned for.
-#[test]
-fn tensor_and_arena_buffers_are_aligned() {
-    for t in [
-        Tensor::zeros(3, 7),
-        Tensor::full(5, 5, 1.5),
-        Tensor::from_vec(2, 9, (0..18).map(|i| i as f32).collect()),
-        Tensor::row(vec![1.0, 2.0, 3.0]),
-    ] {
-        assert!(aligned::is_aligned(t.data()), "tensor storage misaligned");
-    }
-    let mut arena = Arena::new();
-    for len in [1usize, 9, 31, 100, 4096] {
-        let buf = arena.take(len);
-        assert!(aligned::is_aligned(&buf), "arena buffer misaligned");
-        arena.give(buf);
     }
 }
 
