@@ -12,7 +12,7 @@
 //! it as a smoke check on the `serve_bench` artifacts.
 
 use mga_bench::{exit_on_error, BenchError};
-use mga_obs::hist::HistSnapshot;
+use mga_obs::hist::{bucket_hi, bucket_lo, HistSnapshot};
 use mga_obs::json::{parse, Json};
 use std::collections::BTreeMap;
 
@@ -23,14 +23,6 @@ struct Snapshot {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     loghists: BTreeMap<String, HistSnapshot>,
-    hists: BTreeMap<String, FixedHist>,
-}
-
-/// A fixed-bucket histogram re-read from the dump (bounds + counts).
-struct FixedHist {
-    bounds: Vec<f64>,
-    buckets: Vec<u64>,
-    count: u64,
 }
 
 fn load_metrics(path: &str) -> Result<Snapshot, BenchError> {
@@ -74,22 +66,6 @@ fn load_metrics(path: &str) -> Result<Snapshot, BenchError> {
                 let sum = v.get("sum").and_then(Json::as_f64).unwrap_or(0.0) as u64;
                 snap.loghists
                     .insert(name, HistSnapshot::from_parts(&buckets, count, sum));
-            }
-            Some("histogram") => {
-                let nums = |k: &str| -> Vec<f64> {
-                    v.get(k)
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_f64).collect())
-                        .unwrap_or_default()
-                };
-                snap.hists.insert(
-                    name,
-                    FixedHist {
-                        bounds: nums("bounds"),
-                        buckets: nums("buckets").into_iter().map(|b| b as u64).collect(),
-                        count: v.get("count").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                    },
-                );
             }
             _ => {}
         }
@@ -243,11 +219,12 @@ fn render_metrics(snap: &Snapshot) {
     render_cluster(snap);
 }
 
-/// Batching view: the chosen micro-batch width distribution
-/// (fixed-bucket `serve.batch.size` histogram as a bar chart) and the
-/// cut-reason counters — full batch, timed-out wait, flush.
+/// Batching view: the chosen micro-batch width distribution (the log₂
+/// `serve.batch.size` histogram as a bar chart, one bar per non-empty
+/// bucket) and the cut-reason counters — full batch, timed-out wait,
+/// flush.
 fn render_batching(snap: &Snapshot) {
-    let Some(h) = snap.hists.get("serve.batch.size") else {
+    let Some(h) = snap.loghists.get("serve.batch.size") else {
         return;
     };
     if h.count == 0 {
@@ -255,10 +232,12 @@ fn render_batching(snap: &Snapshot) {
     }
     println!("\n── batching ──");
     let max = h.buckets.iter().copied().max().unwrap_or(0).max(1);
-    for (i, &n) in h.buckets.iter().enumerate() {
-        let label = match h.bounds.get(i) {
-            Some(b) => format!("≤ {b:.0}"),
-            None => format!("> {:.0}", h.bounds.last().copied().unwrap_or(0.0)),
+    for (b, &n) in h.buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let (lo, hi) = (bucket_lo(b), bucket_hi(b));
+        let label = if lo == hi {
+            lo.to_string()
+        } else {
+            format!("{lo}–{hi}")
         };
         let bar = "#".repeat((n * 40 / max) as usize);
         println!("batch {label:<6} {n:>10}  {bar}");

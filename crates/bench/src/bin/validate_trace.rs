@@ -28,7 +28,8 @@
 //!
 //! `--prom FILE` validates a Prometheus text-exposition snapshot
 //! (`MGA_PROM_OUT`): `mga_`-prefixed sample names, numeric values,
-//! cumulative bucket series whose `+Inf` sample equals `_count`.
+//! cumulative bucket series with strictly increasing `le` bounds whose
+//! `+Inf` sample equals `_count`.
 //!
 //! `--drift-replay` runs the built-in synthetic drift scenario and
 //! asserts each detector fires at its exact expected tick — the
@@ -261,12 +262,13 @@ fn check_flight(path: &str) -> Result<(usize, usize), String> {
 }
 
 /// Validate a Prometheus text-exposition snapshot: prefixed names,
-/// numeric samples, cumulative bucket series closed by a `+Inf` sample
-/// that equals `_count`.
+/// numeric samples, cumulative bucket series with strictly increasing
+/// `le` bounds, closed by a `+Inf` sample that equals `_count`.
 fn check_prom(path: &str) -> Result<usize, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut samples = 0usize;
-    let mut bucket_series: Option<(String, f64)> = None;
+    // The open bucket series: (name, cumulative count, `le` bound).
+    let mut bucket_series: Option<(String, f64, f64)> = None;
     let mut inf_closed: Vec<(String, f64)> = Vec::new();
     for (i, line) in body.lines().enumerate() {
         let line_no = i + 1;
@@ -290,15 +292,27 @@ fn check_prom(path: &str) -> Result<usize, String> {
             .map_err(|_| format!("{path}:{line_no}: non-numeric sample value {value:?}"))?;
         samples += 1;
         if let Some((base, rest)) = name.split_once("_bucket{le=") {
-            if let Some((prev_base, prev_cum)) = &bucket_series {
-                if prev_base == base && v < *prev_cum {
+            let le = match rest.strip_prefix('"').and_then(|r| r.strip_suffix("\"}")) {
+                Some("+Inf") => f64::INFINITY,
+                Some(le) => le
+                    .parse()
+                    .map_err(|_| format!("{path}:{line_no}: non-numeric le bound {le:?}"))?,
+                None => return Err(format!("{path}:{line_no}: malformed le label")),
+            };
+            if let Some((_, prev_cum, prev_le)) = bucket_series.as_ref().filter(|s| s.0 == base) {
+                if v < *prev_cum {
                     return Err(format!(
                         "{path}:{line_no}: bucket series for {base} not cumulative"
                     ));
                 }
+                if le <= *prev_le {
+                    return Err(format!(
+                        "{path}:{line_no}: le bounds for {base} not strictly increasing"
+                    ));
+                }
             }
-            bucket_series = Some((base.to_string(), v));
-            if rest.starts_with("\"+Inf\"") {
+            bucket_series = Some((base.to_string(), v, le));
+            if le == f64::INFINITY {
                 inf_closed.push((base.to_string(), v));
             }
         } else {

@@ -1022,11 +1022,7 @@ impl FusionModel {
         mga_obs::metrics::counter("train.epochs").inc();
         mga_obs::metrics::gauge("train.loss").set(loss as f64);
         mga_obs::metrics::gauge("train.grad_norm").set(grad_norm as f64);
-        mga_obs::metrics::histogram(
-            "train.batch_rows",
-            &[8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
-        )
-        .observe(prep.sample_rows.len() as f64);
+        mga_obs::metrics::log_histogram("train.batch_rows").observe(prep.sample_rows.len() as u64);
         EpochStats { loss, grad_norm }
     }
 
@@ -1086,11 +1082,7 @@ impl FusionModel {
         }
         mga_obs::metrics::counter("train.microbatch.reduce_ns")
             .add(reduce_start.elapsed().as_nanos() as u64);
-        mga_obs::metrics::histogram(
-            "train.microbatch.width",
-            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-        )
-        .observe(w as f64);
+        mga_obs::metrics::log_histogram("train.microbatch.width").observe(w as u64);
         let losses: Vec<f32> = dp.replicas.iter().map(|r| r.loss).collect();
         self.dp = dp;
         // Same fixed tree as the gradients, so the reported loss is as

@@ -26,8 +26,9 @@
 //!
 //! Observability: pooled dispatches open an `mga_obs` span
 //! (`pool.dispatch`); every call feeds the `pool.jobs`, `pool.chunks` and
-//! `pool.task_panics` counters and the `pool.job_chunks` histogram in the
-//! metrics registry, and workers feed `pool.queue_wait_us`.
+//! `pool.task_panics` counters and the `pool.job_chunks` log₂ histogram
+//! in the metrics registry, and workers feed `pool.lat.queue_wait`, the
+//! nanoseconds from a job's submission to a worker taking it up.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,7 +130,7 @@ struct Pool {
     m_jobs: &'static mga_obs::metrics::Counter,
     m_chunks: &'static mga_obs::metrics::Counter,
     m_task_panics: &'static mga_obs::metrics::Counter,
-    m_job_chunks: &'static mga_obs::metrics::Histogram,
+    m_job_chunks: &'static mga_obs::hist::LogHistogram,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -152,10 +153,7 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         let threads = configured_threads();
         let workers = threads.saturating_sub(1);
-        let queue_wait = mga_obs::metrics::histogram(
-            "pool.queue_wait_us",
-            &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0],
-        );
+        let queue_wait = mga_obs::metrics::log_histogram("pool.lat.queue_wait");
         let mut senders = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = channel::<Arc<Job>>();
@@ -164,7 +162,7 @@ fn pool() -> &'static Pool {
                 .spawn(move || {
                     // Exits when the Sender side is dropped (process end).
                     for job in rx.iter() {
-                        queue_wait.observe(job.created.elapsed().as_secs_f64() * 1e6);
+                        queue_wait.observe(job.created.elapsed().as_nanos() as u64);
                         job.run_chunks();
                     }
                 })
@@ -177,10 +175,7 @@ fn pool() -> &'static Pool {
             m_jobs: mga_obs::metrics::counter("pool.jobs"),
             m_chunks: mga_obs::metrics::counter("pool.chunks"),
             m_task_panics: mga_obs::metrics::counter("pool.task_panics"),
-            m_job_chunks: mga_obs::metrics::histogram(
-                "pool.job_chunks",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-            ),
+            m_job_chunks: mga_obs::metrics::log_histogram("pool.job_chunks"),
         }
     })
 }
@@ -210,10 +205,10 @@ pub fn inline_forced() -> bool {
 /// `inline_scope`. The flag is per-thread and restored on exit
 /// (including panic unwinds), so sibling threads and code after the
 /// scope still dispatch normally.
-/// Inline chunks keep the exact same fault-injection site and panic
-/// reporting as dispatched ones, and every job's chunks compute the same
-/// bits wherever they run, so forcing inline never changes results —
-/// only scheduling.
+/// Inline jobs drain through the same chunk runner as dispatched ones,
+/// with its fault-injection site and panic reporting, and every job's
+/// chunks compute the same bits wherever they run, so forcing inline
+/// never changes results — only scheduling.
 pub fn inline_scope<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -238,37 +233,15 @@ pub fn parallel_for(count: usize, task: impl Fn(usize) + Sync) {
     let p = pool();
     p.m_jobs.inc();
     p.m_chunks.add(count as u64);
-    p.m_job_chunks.observe(count as f64);
-    if p.senders.is_empty() || count == 1 || inline_forced() {
-        for i in 0..count {
-            // Same fault-injection site and panic reporting as the
-            // dispatched path, so single-threaded runs exercise the
-            // identical failure surface.
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                if mga_obs::fault::armed() {
-                    if let Some(shot) = mga_obs::fault::fire(mga_obs::fault::Site::Pool) {
-                        panic!("injected pool fault ({:?})", shot.kind);
-                    }
-                }
-                task(i)
-            })) {
-                p.m_task_panics.inc();
-                let msg = payload_to_string(payload);
-                mga_obs::error!("parallel_for: inline chunk {i} of {count} panicked: {msg}");
-                panic!(
-                    "parallel_for: task for chunk {i}/{count} panicked (1 chunk(s) total): {msg}"
-                );
-            }
-        }
-        return;
-    }
-    mga_obs::span!("pool.dispatch");
+    p.m_job_chunks.observe(count as u64);
     let task_ref: &(dyn Fn(usize) + Sync) = &task;
     // SAFETY: erasing the borrow's lifetime lets workers hold the
-    // closure. It outlives every call through it: this function blocks
-    // below until `remaining` reaches zero, each chunk decrements it only
-    // after its call returns, and a worker that arrives later finds the
-    // cursor exhausted and never calls it.
+    // closure. It outlives every call through it. Inline, no other thread
+    // holds the job and `run_chunks` returns once the cursor is
+    // exhausted. Pooled, this function blocks below until `remaining`
+    // reaches zero, each chunk decrements it only after its call returns,
+    // and a worker that arrives later finds the cursor exhausted and never
+    // calls it.
     let task_static: &'static (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task_ref)
     };
@@ -284,20 +257,25 @@ pub fn parallel_for(count: usize, task: impl Fn(usize) + Sync) {
         cv: Condvar::new(),
         created: Instant::now(),
     });
-    // The caller takes one chunk itself, so at most `count - 1` workers
-    // can ever claim work — waking the rest just costs a futile wakeup
-    // and an extra Arc round-trip on small jobs.
-    for tx in p.senders.iter().take(count.saturating_sub(1)) {
-        // A send can only fail if a worker died mid-process; losing its
-        // help is acceptable, losing the job is not — the caller drains.
-        let _ = tx.send(job.clone());
+    if p.senders.is_empty() || count == 1 || inline_forced() {
+        // The calling thread runs every chunk, in order.
+        job.run_chunks();
+    } else {
+        mga_obs::span!("pool.dispatch");
+        // The caller takes one chunk itself, so at most `count - 1` workers
+        // can ever claim work — waking the rest just costs a futile wakeup
+        // and an extra Arc round-trip on small jobs.
+        for tx in p.senders.iter().take(count - 1) {
+            // A send can only fail if a worker died mid-process; losing its
+            // help is acceptable, losing the job is not — the caller drains.
+            let _ = tx.send(job.clone());
+        }
+        job.run_chunks();
+        let mut done = job.done.lock().unwrap();
+        while !*done {
+            done = job.cv.wait(done).unwrap();
+        }
     }
-    job.run_chunks();
-    let mut done = job.done.lock().unwrap();
-    while !*done {
-        done = job.cv.wait(done).unwrap();
-    }
-    drop(done);
     if job.poisoned.load(Ordering::Relaxed) {
         let n = job.panics.load(Ordering::Relaxed);
         p.m_task_panics.add(n);

@@ -63,10 +63,14 @@ impl Tensor {
     /// reused), which the tape feeds into its allocation accounting.
     pub fn reset_shape(&mut self, rows: usize, cols: usize) -> usize {
         let len = rows * cols;
-        let grew = len.saturating_sub(self.data.capacity()) * std::mem::size_of::<f32>();
-        // Grow to exactly `len`, so capacity, and with it the byte count
-        // above, tracks what was asked for; a plain `resize` may round
-        // the capacity up to twice the old one.
+        // A growth reallocates the whole buffer. It grows to exactly
+        // `len`, so the allocation is the `len` floats counted here; a
+        // plain `resize` may round the capacity up to twice the old one.
+        let grew = if len > self.data.capacity() {
+            len * std::mem::size_of::<f32>()
+        } else {
+            0
+        };
         self.data.reserve_exact(len.saturating_sub(self.data.len()));
         self.data.resize(len, 0.0);
         self.rows = rows;
@@ -486,13 +490,13 @@ mod tests {
         );
     }
 
-    /// `reset_shape` reports growth past capacity in bytes, and a shrink
+    /// `reset_shape` reports the bytes a growth allocates, and a shrink
     /// or a regrowth within capacity keeps the buffer.
     #[test]
     fn reset_shape_reports_exact_growth() {
         let mut t = Tensor::zeros(2, 3);
         assert_eq!(t.data.capacity(), 6);
-        assert_eq!(t.reset_shape(2, 4), (8 - 6) * 4);
+        assert_eq!(t.reset_shape(2, 4), 8 * 4);
         assert_eq!(t.data.capacity(), 8, "growth allocates exactly");
         let base = t.data().as_ptr();
         assert_eq!(t.reset_shape(1, 3), 0);

@@ -13,20 +13,18 @@
 //! * metric names are prefixed `mga_` and every non-`[a-zA-Z0-9_]`
 //!   character becomes `_` (`serve.cache_hits` → `mga_serve_cache_hits`);
 //! * counters/gauges render as their single sample;
-//! * fixed-bucket histograms render as cumulative `_bucket{le="..."}`
-//!   series plus `_sum`/`_count`, per the Prometheus histogram
-//!   convention (upper-inclusive bounds map directly onto `le`);
-//! * log₂ latency histograms ([`crate::hist`]) render the same way with
-//!   `le = 2^b` nanosecond boundaries, emitted only up to the highest
-//!   non-empty bucket (65 mostly-empty series per histogram would bloat
-//!   every scrape). Our buckets are `[2^(b-1), 2^b)` — half-open — so an
-//!   observation exactly equal to a boundary sits one `le` series lower
-//!   than a strictly Prometheus-native histogram would place it; at
-//!   nanosecond granularity this is far below bucket resolution.
+//! * log₂ histograms ([`crate::hist`]) render as cumulative
+//!   `_bucket{le="..."}` series plus `_sum`/`_count`, per the Prometheus
+//!   histogram convention. Bucket `b ≥ 1` holds the integers
+//!   `2^(b-1) ..= 2^b − 1`, so its `le` is `2^b − 1` and each finite
+//!   series counts exactly the observations `≤ le`; an observation of
+//!   exactly `2^b` sits one series higher. The zero bucket is `le="0"`.
+//!   Series are emitted only up to the highest non-empty bucket (65
+//!   mostly-empty series per histogram would bloat every scrape).
 //!
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use crate::hist::{bucket_lo, HistSnapshot, NUM_BUCKETS};
+use crate::hist::{bucket_hi, HistSnapshot, NUM_BUCKETS};
 use crate::metrics::{snapshot, MetricValue};
 
 /// Sanitize a registry metric name into a Prometheus metric name.
@@ -60,29 +58,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn render_fixed_hist(
-    out: &mut String,
-    name: &str,
-    bounds: &[f64],
-    buckets: &[u64],
-    count: u64,
-    sum: f64,
-) {
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let mut cum = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        cum += n;
-        let le = if i < bounds.len() {
-            fmt_f64(bounds[i])
-        } else {
-            "+Inf".to_string()
-        };
-        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
-    }
-    out.push_str(&format!("{name}_sum {}\n", fmt_f64(sum)));
-    out.push_str(&format!("{name}_count {count}\n"));
-}
-
 fn render_log_hist(out: &mut String, name: &str, s: &HistSnapshot) {
     out.push_str(&format!("# TYPE {name} histogram\n"));
     let top = (0..NUM_BUCKETS)
@@ -92,10 +67,7 @@ fn render_log_hist(out: &mut String, name: &str, s: &HistSnapshot) {
     let mut cum = 0u64;
     for b in 0..=top {
         cum += s.buckets[b];
-        // Bucket b covers [2^(b-1), 2^b); its Prometheus upper bound is
-        // the next power of two (bucket 0 is the exact-zero bucket).
-        let le = if b == 0 { 0 } else { bucket_lo(b + 1) };
-        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
+        out.push_str(&format!("{name}_bucket{{le=\"{}\"}} {cum}\n", bucket_hi(b)));
     }
     out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", s.count));
     out.push_str(&format!("{name}_sum {}\n", s.sum));
@@ -116,12 +88,6 @@ pub fn render_prometheus() -> String {
             MetricValue::Gauge(g) => {
                 out.push_str(&format!("# TYPE {pname} gauge\n{pname} {}\n", fmt_f64(g)));
             }
-            MetricValue::Histogram {
-                bounds,
-                buckets,
-                count,
-                sum,
-            } => render_fixed_hist(&mut out, &pname, &bounds, &buckets, count, sum),
             MetricValue::LogHist(s) => render_log_hist(&mut out, &pname, &s),
         }
     }
@@ -145,6 +111,7 @@ pub fn write_prom_if_enabled() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::bucket_of;
     use crate::metrics;
 
     #[test]
@@ -158,7 +125,6 @@ mod tests {
     fn renders_all_metric_types_well_formed() {
         metrics::counter("test.prom.counter").add(7);
         metrics::gauge("test.prom.gauge").set(1.25);
-        metrics::histogram("test.prom.hist", &[1.0, 10.0]).observe(3.0);
         let lh = metrics::log_histogram("test.prom.loghist");
         lh.observe(900);
         lh.observe(3000);
@@ -166,13 +132,9 @@ mod tests {
 
         assert!(text.contains("# TYPE mga_test_prom_counter counter\nmga_test_prom_counter 7\n"));
         assert!(text.contains("# TYPE mga_test_prom_gauge gauge\nmga_test_prom_gauge 1.25\n"));
-        assert!(text.contains("mga_test_prom_hist_bucket{le=\"1\"} 0"));
-        assert!(text.contains("mga_test_prom_hist_bucket{le=\"10\"} 1"));
-        assert!(text.contains("mga_test_prom_hist_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("mga_test_prom_hist_count 1"));
-        // 900 ∈ [512, 1024) → le="1024"; 3000 ∈ [2048, 4096) → le="4096".
-        assert!(text.contains("mga_test_prom_loghist_bucket{le=\"1024\"} 1"));
-        assert!(text.contains("mga_test_prom_loghist_bucket{le=\"4096\"} 2"));
+        // 900 ∈ 512..=1023 → le="1023"; 3000 ∈ 2048..=4095 → le="4095".
+        assert!(text.contains("mga_test_prom_loghist_bucket{le=\"1023\"} 1"));
+        assert!(text.contains("mga_test_prom_loghist_bucket{le=\"4095\"} 2"));
         assert!(text.contains("mga_test_prom_loghist_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("mga_test_prom_loghist_sum 3900"));
 
@@ -202,5 +164,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each finite `le` series counts exactly the observations `≤ le`,
+    /// powers of two included.
+    #[test]
+    fn le_series_count_the_observations_at_or_below_it() {
+        let vals = [0u64, 1, 2, 3, 4, 5, 7, 8, 9, 1000, 1023, 1024, 1025];
+        let h = metrics::log_histogram("test.prom.le_exact");
+        for &v in &vals {
+            h.observe(v);
+        }
+        let mut finite = 0;
+        for line in render_prometheus().lines() {
+            let Some(rest) = line.strip_prefix("mga_test_prom_le_exact_bucket{le=\"") else {
+                continue;
+            };
+            let (le, cum) = rest.split_once("\"} ").expect("bucket sample");
+            let cum: usize = cum.parse().expect("cumulative count");
+            if le == "+Inf" {
+                assert_eq!(cum, vals.len());
+                continue;
+            }
+            let le: u64 = le.parse().expect("integer le");
+            let want = vals.iter().filter(|&&v| v <= le).count();
+            assert_eq!(
+                cum, want,
+                "le=\"{le}\" must count the {want} observations <= {le}"
+            );
+            finite += 1;
+        }
+        assert_eq!(
+            finite,
+            bucket_of(1025) + 1,
+            "one series per bucket up to the top"
+        );
+    }
+
+    /// The top bucket (observations ≥ 2^63) renders its bound as
+    /// `u64::MAX` instead of overflowing a shift.
+    #[test]
+    fn top_bucket_le_is_u64_max() {
+        metrics::log_histogram("test.prom.top").observe(u64::MAX);
+        let text = render_prometheus();
+        assert!(text.contains("mga_test_prom_top_bucket{le=\"18446744073709551615\"} 1\n"));
     }
 }

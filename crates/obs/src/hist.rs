@@ -1,19 +1,16 @@
-//! Mergeable log₂-bucketed latency histograms.
+//! Log₂-bucketed histograms over `u64` values: nanosecond latencies,
+//! and counts such as batch widths.
 //!
 //! The serving engine measures nanosecond latencies on every request, so
 //! the recording side must be as cheap as a counter bump: a
-//! [`LogHistogram`] has **fixed** power-of-two buckets over `u64`
-//! nanoseconds (bucket `b ≥ 1` covers `[2^(b-1), 2^b)`, bucket 0 holds
-//! exact zeros), so [`LogHistogram::observe`] is one `leading_zeros`
-//! plus three relaxed atomic adds — lock-free, allocation-free, and safe
-//! to share as a `&'static` handle across threads.
+//! [`LogHistogram`] has **fixed** power-of-two buckets (bucket `b ≥ 1`
+//! holds the integers `2^(b-1) ..= 2^b − 1`, bucket 0 holds exact
+//! zeros), so [`LogHistogram::observe`] is one `leading_zeros` plus three
+//! relaxed atomic adds — lock-free, allocation-free, and safe to share
+//! as a `&'static` handle across threads.
 //!
-//! Histograms with identical bucketing are closed under addition, which
-//! is what makes them *mergeable*: a future multi-shard cluster can sum
-//! per-shard snapshots ([`HistSnapshot::merge`]) and compute cluster
-//! percentiles without ever shipping raw samples. [`HistSnapshot::diff`]
-//! is the windowing counterpart — subtract an earlier snapshot to get
-//! the distribution of just the requests in between.
+//! [`HistSnapshot::diff`] windows a histogram: subtract an earlier
+//! snapshot to get the distribution of just the observations in between.
 //!
 //! The [`percentile`](HistSnapshot::percentile) estimator returns the
 //! midpoint of the bucket containing the requested rank. Since a
@@ -50,6 +47,18 @@ pub fn bucket_lo(b: usize) -> u64 {
     }
 }
 
+/// Inclusive upper bound of bucket `b`: `2^b − 1`, and 0 for the zero
+/// bucket. Shifting down from `u64::MAX` keeps the top bucket (`b = 64`)
+/// from overflowing, where `bucket_lo(b + 1)` would shift by 64.
+#[inline]
+pub fn bucket_hi(b: usize) -> u64 {
+    if b == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - b)
+    }
+}
+
 /// Midpoint estimate reported for bucket `b`: `1.5 · 2^(b-1)` for
 /// non-zero buckets (saturating at the top), 0 for the zero bucket.
 #[inline]
@@ -62,7 +71,7 @@ pub fn bucket_mid(b: usize) -> u64 {
     }
 }
 
-/// A lock-free histogram over `u64` nanoseconds with fixed log₂ buckets.
+/// A lock-free histogram over `u64` values with fixed log₂ buckets.
 /// All state is atomic; `observe` never allocates and never takes a
 /// lock, so handles can be interned `&'static` in the metrics registry
 /// and hit from the serving hot path.
@@ -88,8 +97,8 @@ impl LogHistogram {
         }
     }
 
-    /// Record one observation (nanoseconds): one branch-free bucket
-    /// computation + three relaxed atomic adds.
+    /// Record one observation (nanoseconds or a count): one branch-free
+    /// bucket computation + three relaxed atomic adds.
     #[inline]
     pub fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
@@ -102,28 +111,12 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observations (ns).
+    /// Sum of all observations.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Add every bucket of `other`'s current state into `self` — the
-    /// shard-aggregation primitive (relaxed adds; both sides may keep
-    /// observing concurrently).
-    pub fn merge_from(&self, other: &LogHistogram) {
-        for (b, o) in self.buckets.iter().zip(&other.buckets) {
-            let n = o.load(Ordering::Relaxed);
-            if n > 0 {
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy for merging, diffing and percentile queries.
+    /// A point-in-time copy for diffing and percentile queries.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut buckets = [0u64; NUM_BUCKETS];
         for (dst, src) in buckets.iter_mut().zip(&self.buckets) {
@@ -135,16 +128,10 @@ impl LogHistogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Percentile estimate straight off the live histogram (see
-    /// [`HistSnapshot::percentile`]).
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.snapshot().percentile(p)
-    }
 }
 
-/// A plain (non-atomic) histogram state: the unit of merging across
-/// shards and of windowing across time.
+/// A plain (non-atomic) histogram state: the unit of export and of
+/// windowing across time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     pub buckets: [u64; NUM_BUCKETS],
@@ -175,18 +162,6 @@ impl HistSnapshot {
             *dst = src;
         }
         s
-    }
-
-    /// Pointwise sum — merging shard histograms loses nothing because
-    /// the bucketing is identical by construction.
-    pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
-        let mut out = self.clone();
-        for (dst, src) in out.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        out.count += other.count;
-        out.sum += other.sum;
-        out
     }
 
     /// Pointwise difference vs. an `earlier` snapshot of the same
@@ -247,9 +222,11 @@ mod tests {
         assert_eq!(bucket_of(1023), 10);
         assert_eq!(bucket_of(1024), 11);
         assert_eq!(bucket_of(u64::MAX), 64);
+        assert_eq!(bucket_hi(64), u64::MAX);
         for b in 1..NUM_BUCKETS {
             assert_eq!(bucket_of(bucket_lo(b)), b, "lower bound lands in bucket");
-            assert!(bucket_lo(b) <= bucket_mid(b));
+            assert_eq!(bucket_of(bucket_hi(b)), b, "upper bound lands in bucket");
+            assert!(bucket_lo(b) <= bucket_mid(b) && bucket_mid(b) <= bucket_hi(b));
         }
     }
 
@@ -273,7 +250,7 @@ mod tests {
             h.observe(700); // bucket [512, 1024)
         }
         for p in [1.0, 50.0, 99.0, 100.0] {
-            let est = h.percentile(p);
+            let est = h.snapshot().percentile(p);
             assert_eq!(est, bucket_mid(bucket_of(700)));
             assert!((512..1024).contains(&est));
         }
@@ -281,24 +258,8 @@ mod tests {
 
     #[test]
     fn empty_histogram_percentile_is_zero() {
-        assert_eq!(LogHistogram::new().percentile(99.0), 0);
+        assert_eq!(LogHistogram::new().snapshot().percentile(99.0), 0);
         assert_eq!(HistSnapshot::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_observing_the_concatenation() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let all = LogHistogram::new();
-        for (i, v) in [3u64, 9, 81, 6561, 0, 43046721].iter().enumerate() {
-            if i % 2 == 0 { &a } else { &b }.observe(*v);
-            all.observe(*v);
-        }
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged, all.snapshot());
-        // merge_from on the live histogram agrees with snapshot merge.
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), merged);
     }
 
     #[test]
@@ -353,7 +314,7 @@ mod tests {
             }
             vals.sort_unstable();
             let exact = exact_percentile(&vals, p);
-            let est = h.percentile(p);
+            let est = h.snapshot().percentile(p);
             if exact == 0 {
                 prop_assert_eq!(est, 0, "zero sample percentile must estimate 0");
             } else {

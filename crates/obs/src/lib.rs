@@ -12,8 +12,8 @@
 //!   events to the file named by `MGA_TRACE`. Disabled (the default),
 //!   a span is a single relaxed atomic load and **no allocation**.
 //! * [`metrics`] — a process-wide registry of counters, gauges and
-//!   fixed-bucket histograms (always on: increments are single relaxed
-//!   atomic ops). `MGA_METRICS_OUT=path` dumps a JSONL snapshot at
+//!   log₂ histograms (always on: increments are single relaxed atomic
+//!   ops). `MGA_METRICS_OUT=path` dumps a JSONL snapshot at
 //!   [`finish`].
 //! * [`log`] — leveled logging to stderr (`MGA_LOG=error|warn|info|debug`,
 //!   default `info`) behind the [`error!`]/[`warn!`]/[`info!`]/[`debug!`]
@@ -28,9 +28,9 @@
 //! The serving engine (`mga-serve`) adds a production-telemetry layer on
 //! top:
 //!
-//! * [`hist`] — mergeable log₂-bucketed latency histograms: lock-free
-//!   `observe`, shard-mergeable snapshots, and a `percentile` estimator
-//!   with a proven 1.5× bound. Registered via
+//! * [`hist`] — log₂-bucketed histograms over nanosecond latencies and
+//!   counts: lock-free `observe`, diffable snapshots, and a `percentile`
+//!   estimator with a proven 1.5× bound. Registered via
 //!   [`metrics::log_histogram`].
 //! * [`drift`] — deterministic, tick-driven EWMA drift detectors
 //!   (new-kernel rate, cache-miss rate, head-confidence collapse)

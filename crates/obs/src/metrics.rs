@@ -1,4 +1,4 @@
-//! A process-wide metrics registry: counters, gauges, and fixed-bucket
+//! A process-wide metrics registry: counters, gauges, and log₂
 //! histograms.
 //!
 //! Handles are `&'static` and interned by name on first use, so hot
@@ -47,77 +47,9 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram with Prometheus-style upper-inclusive buckets:
-/// bucket `i` counts observations `v` with `bounds[i-1] < v <= bounds[i]`;
-/// one extra overflow bucket counts `v > bounds.last()`.
-pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        let i = self.bounds.partition_point(|b| *b < v);
-        self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // f64 add via CAS on the bit pattern.
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-}
-
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
     LogHist(&'static LogHistogram),
 }
 
@@ -157,22 +89,9 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     }
 }
 
-/// Intern (or fetch) the histogram named `name`. The `bounds` apply on
-/// first registration; later calls return the existing histogram.
-pub fn histogram(name: &'static str, bounds: &[f64]) -> &'static Histogram {
-    let mut reg = lock_registry();
-    match reg
-        .entry(name)
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new(bounds)))))
-    {
-        Metric::Histogram(h) => h,
-        _ => panic!("metric {name} already registered with a different type"),
-    }
-}
-
-/// Intern (or fetch) the log₂-bucketed latency histogram named `name`
-/// (see [`crate::hist`]): fixed power-of-two buckets over nanoseconds,
-/// lock-free observe, mergeable snapshots.
+/// Intern (or fetch) the log₂-bucketed histogram named `name` (see
+/// [`crate::hist`]): fixed power-of-two buckets over `u64` nanoseconds
+/// or counts, lock-free observe.
 pub fn log_histogram(name: &'static str) -> &'static LogHistogram {
     let mut reg = lock_registry();
     match reg
@@ -192,14 +111,8 @@ pub fn log_histogram(name: &'static str) -> &'static LogHistogram {
 pub enum MetricValue {
     Counter(u64),
     Gauge(f64),
-    Histogram {
-        bounds: Vec<f64>,
-        buckets: Vec<u64>,
-        count: u64,
-        sum: f64,
-    },
-    /// Log₂-bucketed nanosecond histogram; bucket `b ≥ 1` covers
-    /// `[2^(b-1), 2^b)`, bucket 0 holds exact zeros.
+    /// Log₂-bucketed histogram of nanoseconds or counts; bucket `b ≥ 1`
+    /// covers `[2^(b-1), 2^b)`, bucket 0 holds exact zeros.
     LogHist(crate::hist::HistSnapshot),
 }
 
@@ -214,12 +127,6 @@ pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
             let v = match m {
                 Metric::Counter(c) => MetricValue::Counter(c.get()),
                 Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                Metric::Histogram(h) => MetricValue::Histogram {
-                    bounds: h.bounds().to_vec(),
-                    buckets: h.bucket_counts(),
-                    count: h.count(),
-                    sum: h.sum(),
-                },
                 Metric::LogHist(h) => MetricValue::LogHist(h.snapshot()),
             };
             (name, v)
@@ -243,25 +150,6 @@ pub fn to_jsonl() -> String {
                 ("type", Json::str("gauge")),
                 ("name", Json::str(name)),
                 ("value", Json::Num(g)),
-            ]),
-            MetricValue::Histogram {
-                bounds,
-                buckets,
-                count,
-                sum,
-            } => Json::obj(vec![
-                ("type", Json::str("histogram")),
-                ("name", Json::str(name)),
-                (
-                    "bounds",
-                    Json::Arr(bounds.into_iter().map(Json::Num).collect()),
-                ),
-                (
-                    "buckets",
-                    Json::Arr(buckets.into_iter().map(|b| Json::Num(b as f64)).collect()),
-                ),
-                ("count", Json::Num(count as f64)),
-                ("sum", Json::Num(sum)),
             ]),
             MetricValue::LogHist(s) => Json::obj(vec![
                 ("type", Json::str("log_histogram")),
@@ -293,49 +181,6 @@ pub fn to_jsonl() -> String {
     out
 }
 
-/// Render the snapshot as a human-readable table.
-pub fn render_table() -> String {
-    let mut out = String::new();
-    for (name, v) in snapshot() {
-        match v {
-            MetricValue::Counter(c) => out.push_str(&format!("{name:<40} counter {c}\n")),
-            MetricValue::Gauge(g) => out.push_str(&format!("{name:<40} gauge   {g:.6}\n")),
-            MetricValue::Histogram {
-                count,
-                sum,
-                bounds,
-                buckets,
-            } => {
-                out.push_str(&format!(
-                    "{name:<40} hist    n={count} sum={sum:.3} mean={:.3}\n",
-                    if count > 0 { sum / count as f64 } else { 0.0 }
-                ));
-                for (i, b) in buckets.iter().enumerate() {
-                    if *b == 0 {
-                        continue;
-                    }
-                    let label = if i < bounds.len() {
-                        format!("<= {}", bounds[i])
-                    } else {
-                        format!("> {}", bounds[bounds.len() - 1])
-                    };
-                    out.push_str(&format!("{:<40}   {label:<12} {b}\n", ""));
-                }
-            }
-            MetricValue::LogHist(s) => {
-                out.push_str(&format!(
-                    "{name:<40} loghist n={} mean={:.0}ns p50={}ns p99={}ns\n",
-                    s.count,
-                    s.mean(),
-                    s.percentile(50.0),
-                    s.percentile(99.0),
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,31 +198,6 @@ mod tests {
         assert!(snap
             .iter()
             .any(|(n, v)| *n == "test.counter" && *v == MetricValue::Counter(5)));
-    }
-
-    #[test]
-    fn histogram_buckets_are_upper_inclusive() {
-        let h = histogram("test.hist.bounds", &[1.0, 10.0, 100.0]);
-        // Exactly on each boundary, below the first, above the last.
-        h.observe(0.5); // bucket 0 (<= 1)
-        h.observe(1.0); // bucket 0 — boundary is inclusive
-        h.observe(1.0000001); // bucket 1
-        h.observe(10.0); // bucket 1
-        h.observe(100.0); // bucket 2
-        h.observe(100.0001); // overflow
-        h.observe(f64::MAX); // overflow
-        assert_eq!(h.bucket_counts(), vec![2, 2, 1, 2]);
-        assert_eq!(h.count(), 7);
-        assert!(h.sum() > 100.0);
-    }
-
-    #[test]
-    fn histogram_negative_and_zero_land_in_first_bucket() {
-        let h = histogram("test.hist.neg", &[0.0, 5.0]);
-        h.observe(-3.0);
-        h.observe(0.0);
-        h.observe(4.9);
-        assert_eq!(h.bucket_counts(), vec![2, 1, 0]);
     }
 
     #[test]
@@ -419,7 +239,6 @@ mod tests {
             doc.get("buckets").and_then(|b| b.as_arr()).map(|a| a.len()),
             Some(2)
         );
-        assert!(render_table().contains("test.loghist"));
     }
 
     #[test]
@@ -453,12 +272,11 @@ mod tests {
     #[test]
     fn jsonl_snapshot_parses_back() {
         counter("test.jsonl.counter").add(3);
-        histogram("test.jsonl.hist", &[1.0, 2.0]).observe(1.5);
+        log_histogram("test.jsonl.hist").observe(3);
         for line in to_jsonl().lines() {
             let v = crate::json::parse(line).expect("valid JSON line");
             assert!(v.get("type").is_some());
             assert!(v.get("name").and_then(|n| n.as_str()).is_some());
         }
-        assert!(render_table().contains("test.jsonl.counter"));
     }
 }

@@ -123,7 +123,7 @@ struct Pending {
 /// latency histograms, throughput counters, the queue-depth gauge.
 /// Resolved once at engine construction so the hot path never takes the
 /// registry lock (a mutex + map lookup per call would dwarf the work
-/// being measured). Histogram values are nanoseconds.
+/// being measured). Latency histogram values are nanoseconds.
 struct HotMetrics {
     queue_wait: &'static LogHistogram,
     cache: &'static LogHistogram,
@@ -135,8 +135,8 @@ struct HotMetrics {
     batches: &'static Counter,
     batched_requests: &'static Counter,
     queue_depth: &'static Gauge,
-    /// Chosen micro-batch widths (fixed-bucket; widths are small ints).
-    batch_size: &'static metrics::Histogram,
+    /// Chosen micro-batch widths (a count, not nanoseconds).
+    batch_size: &'static LogHistogram,
     /// One counter per [`BatchMode`], indexed by discriminant.
     batch_mode: [&'static Counter; 3],
 }
@@ -154,10 +154,7 @@ impl HotMetrics {
             batches: metrics::counter("serve.batches"),
             batched_requests: metrics::counter("serve.batched_requests"),
             queue_depth: metrics::gauge("serve.queue_depth"),
-            batch_size: metrics::histogram(
-                "serve.batch.size",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-            ),
+            batch_size: metrics::log_histogram("serve.batch.size"),
             batch_mode: [
                 metrics::counter("serve.batch.mode.full"),
                 metrics::counter("serve.batch.mode.wait"),
@@ -170,9 +167,16 @@ impl HotMetrics {
     fn note_batch(&self, b: usize, mode: BatchMode) {
         self.batches.inc();
         self.batched_requests.add(b as u64);
-        self.batch_size.observe(b as f64);
+        self.batch_size.observe(b as u64);
         self.batch_mode[mode as usize].inc();
     }
+}
+
+/// A plan staged by [`Engine::swap_plan`], waiting for the pre-swap
+/// queue to drain before it installs.
+struct StagedSwap<'a> {
+    plan: InferencePlan,
+    model: &'a FusionModel,
 }
 
 /// Fast algebraic squash of a decision margin into (0, 1):
@@ -211,13 +215,6 @@ fn margin_confidence(m: f32) -> f32 {
 ///
 /// Telemetry is observation-only: every served byte is bitwise
 /// identical with it on or off.
-/// A plan staged by [`Engine::swap_plan`], waiting for the pre-swap
-/// queue to drain before it installs.
-struct StagedSwap<'a> {
-    plan: InferencePlan,
-    model: &'a FusionModel,
-}
-
 pub struct Engine<'a> {
     plan: InferencePlan,
     cache: EmbeddingCache,

@@ -252,6 +252,37 @@ fn queue_depth_gauge_follows_the_queue() {
     assert_eq!(engine.queue_depth(), 0);
 }
 
+/// Counts and the pool's queue wait register as log₂ histograms: after
+/// the context's fit and one served batch the registry holds the
+/// serving batch widths, the training batch rows and micro-batch
+/// widths, the pool's job sizes, and its queue wait in nanoseconds.
+#[test]
+fn count_metrics_are_log2_histograms() {
+    let _g = engine_lock();
+    let c = ctx();
+    let data = train_data(c);
+    let mut engine = Engine::new(&c.model, data.graphs, data.vectors, ServeConfig::default());
+    for i in 0..3 {
+        engine.submit(request(&data, i)).expect("admit");
+    }
+    engine.flush();
+    let snap = metrics::snapshot();
+    // `MGA_THREADS=1` leaves the pool without workers, so nothing waits.
+    for (name, observed) in [
+        ("serve.batch.size", true),
+        ("train.batch_rows", true),
+        ("train.microbatch.width", true),
+        ("pool.job_chunks", true),
+        ("pool.lat.queue_wait", false),
+    ] {
+        let value = snap.iter().find(|(n, _)| *n == name).map(|(_, v)| v);
+        let Some(metrics::MetricValue::LogHist(h)) = value else {
+            panic!("{name} must be a log₂ histogram, found {value:?}");
+        };
+        assert!(!observed || h.count > 0, "{name} has no observations");
+    }
+}
+
 /// A scripted new-kernel storm fires the drift detector at an exactly
 /// predictable tick: one request per tick, every kernel fresh, window of
 /// 2 ticks, warmup of 1 window → the EWMA breaches on the boundary of
