@@ -9,8 +9,9 @@
 //!   and the pool stays usable;
 //! * `ckpt:truncate` / `ckpt:bitflip` — corrupted checkpoints are
 //!   rejected with a typed `Malformed` error, never a panic;
-//! * `sample:empty` — degenerate graph samples degrade to the remaining
-//!   modalities instead of crashing prediction;
+//! * `sample:empty` — an empty graph packed in a kernel's slot reads out
+//!   as a zero graph embedding, the remaining modalities decide, and
+//!   `model.degraded_graphs` counts it;
 //! * resume — a run killed mid-training (simulated via an exhausted
 //!   retry budget after a mid-run checkpoint) resumes bitwise identical
 //!   to an uninterrupted run;
@@ -256,7 +257,7 @@ fn main() {
         let _ = std::fs::remove_file(&path);
     }
 
-    // --- Scenario 5: sample:empty — prediction degrades gracefully. ---
+    // --- Scenario 5: sample:empty — an empty graph reads out as zeros. ---
     {
         let before = metrics::counter("model.degraded_graphs").get();
         fault::set_spec("sample:empty:0.5:9").expect("valid spec");

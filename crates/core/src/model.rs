@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::OnceCell;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which static modalities the model uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,13 +187,13 @@ pub struct FusionModel {
     /// steady-state epoch loop performs zero tape-tensor heap
     /// allocations.
     pub(crate) dp: DpState,
-    /// Scratch tape for [`FusionModel::predict_prepared`]: repeated
-    /// evaluation (shadow-eval, `evaluate_online`) replays into recycled
-    /// buffers instead of rebuilding a fresh graph per call. `try_lock`
-    /// so concurrent predictors fall back to a fresh tape — replay is
-    /// bitwise-identical to a fresh build, so the fallback never changes
-    /// results.
-    predict_tape: Mutex<Tape>,
+    /// Scratch tape of every grad-free pass ([`FusionModel::predict_prepared`],
+    /// [`FusionModel::static_embedding`],
+    /// [`FusionModel::static_embeddings_prepared`]): repeated evaluation
+    /// and serving cache misses replay into recycled buffers instead of
+    /// building a fresh tape per call. Replay is bitwise-identical to a
+    /// fresh build.
+    scratch: Mutex<Tape>,
 }
 
 /// Replica tapes and gradient shards of the training epoch, one of each
@@ -283,8 +283,32 @@ impl FusionModel {
             head_sizes: head_sizes.to_vec(),
             final_loss: f32::NAN,
             dp: DpState::default(),
-            predict_tape: Mutex::new(Tape::new()),
+            scratch: Mutex::new(Tape::new()),
         }
+    }
+
+    /// The scratch tape, reset for a new grad-free pass. A pass that
+    /// panicked poisons the lock, but what it left is only stale slots:
+    /// every op reshapes and overwrites its slot on replay, so after
+    /// `reset` no later pass reads them and the poison is cleared.
+    fn scratch_tape(&self) -> MutexGuard<'_, Tape> {
+        let mut tape = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        tape.reset();
+        tape
+    }
+}
+
+/// Count the packed graphs that have no instruction node under
+/// `model.degraded_graphs`, and warn. The GNN reads such a graph out as
+/// an exact zero row, so the other modalities decide for it.
+fn note_degenerate(batch: &GraphBatch) {
+    let n = batch.spans.iter().filter(|s| s.instrs == 0).count();
+    if n > 0 {
+        mga_obs::metrics::counter("model.degraded_graphs").add(n as u64);
+        mga_obs::warn!(
+            "{n}/{} graph(s) have no instruction node; their graph block is zero",
+            batch.num_graphs
+        );
     }
 }
 
@@ -304,15 +328,10 @@ pub struct PreparedBatch {
     kernels: Vec<usize>,
     /// Per sample: its kernel's row in the batch-local kernel tables.
     sample_rows: Vec<u32>,
-    /// Packed flow graphs of the batch's distinct kernels.
+    /// Packed flow graphs of the batch's distinct kernels. A degenerate
+    /// graph (no nodes, or no instruction node) is packed like any other
+    /// and reads out as a zero row.
     graph: Option<GraphBatch>,
-    /// Degraded-mode replacement for `graph`: fixed per-kernel embeddings
-    /// computed outside the tape when some graphs in the batch are
-    /// degenerate (empty / no instructions). Degenerate kernels get the
-    /// column-mean of the valid kernels' embeddings (zeros if none), so
-    /// prediction falls back to the remaining modalities instead of
-    /// panicking inside the GNN.
-    graph_precomputed: Option<Tensor>,
     /// DAE-encoded program vectors, one row per distinct kernel.
     codes: Option<Tensor>,
     /// Gaussian-rank-scaled raw vectors, one row per distinct kernel.
@@ -343,7 +362,6 @@ struct MicroBatch {
     /// bitwise the same readout rows as the full batch).
     graph: Option<GraphBatch>,
     /// Row subsets of the corresponding `PreparedBatch` tables.
-    graph_precomputed: Option<Tensor>,
     codes: Option<Tensor>,
     raw_vecs: Option<Tensor>,
     summaries: Option<Tensor>,
@@ -355,7 +373,6 @@ struct MicroBatch {
 /// ([`FusionModel::forward_view`]).
 struct BatchView<'a> {
     graph: Option<&'a GraphBatch>,
-    graph_precomputed: Option<&'a Tensor>,
     codes: Option<&'a Tensor>,
     raw_vecs: Option<&'a Tensor>,
     summaries: Option<&'a Tensor>,
@@ -452,10 +469,6 @@ impl PreparedBatch {
             hi,
             sample_rows,
             graph: self.graph.as_ref().map(|g| g.subset(&rows)),
-            graph_precomputed: self
-                .graph_precomputed
-                .as_ref()
-                .map(|t| subset_rows(t, &rows)),
             codes: self.codes.as_ref().map(|t| subset_rows(t, &rows)),
             raw_vecs: self.raw_vecs.as_ref().map(|t| subset_rows(t, &rows)),
             summaries: self.summaries.as_ref().map(|t| subset_rows(t, &rows)),
@@ -751,37 +764,23 @@ impl FusionModel {
             .map(|&i| local_row(data.sample_kernel[i]))
             .collect();
 
-        let (graph, graph_precomputed) = if self.gnn.is_some() {
-            // Degenerate graphs (and `sample:empty` fault injection) are
-            // handled outside the tape so the GNN never sees them.
-            let mut degenerate: Vec<bool> = kernels
-                .iter()
-                .map(|&k| {
-                    let g = &data.graphs[k];
-                    g.num_nodes() == 0 || g.instruction_nodes().is_empty()
-                })
-                .collect();
+        let graph = self.gnn.as_ref().map(|_| {
+            let empty = ProGraph::default();
+            let mut graph_refs: Vec<&ProGraph> = kernels.iter().map(|&k| &data.graphs[k]).collect();
             if mga_obs::fault::armed() {
-                for d in degenerate.iter_mut() {
+                // `sample:empty`: one draw per kernel, in kernel order.
+                for g in graph_refs.iter_mut() {
                     if let Some(shot) = mga_obs::fault::fire(mga_obs::fault::Site::Sample) {
                         if shot.kind == mga_obs::fault::Kind::Empty {
-                            *d = true;
+                            *g = &empty;
                         }
                     }
                 }
             }
-            if degenerate.iter().any(|&d| d) {
-                (
-                    None,
-                    Some(self.degraded_graph_embeddings(data, &kernels, &degenerate)),
-                )
-            } else {
-                let graph_refs: Vec<&ProGraph> = kernels.iter().map(|&k| &data.graphs[k]).collect();
-                (Some(GraphBatch::new(&graph_refs)), None)
-            }
-        } else {
-            (None, None)
-        };
+            let batch = GraphBatch::new(&graph_refs);
+            note_degenerate(&batch);
+            batch
+        });
         let codes = self.dae.as_ref().map(|dae| {
             let kernel_vecs: Vec<Vec<f32>> =
                 kernels.iter().map(|&k| data.vectors[k].clone()).collect();
@@ -808,19 +807,10 @@ impl FusionModel {
         let aux = self.aux_scaler.as_ref().map(|scaler| {
             let dims = scaler.dims();
             let mut degraded = 0u64;
-            let mut rows: Vec<f32> = Vec::with_capacity(idx.len() * dims);
-            for &i in idx {
-                let raw = &data.aux[i];
-                if raw.len() != dims || raw.iter().any(|x| !x.is_finite()) {
-                    // Missing or corrupt dynamic features: impute the
-                    // scaled mid-range so the static modalities decide.
-                    rows.extend(std::iter::repeat_n(0.5, dims));
-                    degraded += 1;
-                } else {
-                    let mut r = raw.clone();
-                    scaler.transform_row(&mut r);
-                    rows.extend_from_slice(&r);
-                }
+            let mut rows = vec![0.0f32; idx.len() * dims];
+            for (j, &i) in idx.iter().enumerate() {
+                let dst = &mut rows[j * dims..(j + 1) * dims];
+                degraded += u64::from(scaler.scale_into(dst, &data.aux[i]));
             }
             if degraded > 0 {
                 mga_obs::metrics::counter("model.degraded_aux").add(degraded);
@@ -832,69 +822,12 @@ impl FusionModel {
             kernels,
             sample_rows,
             graph,
-            graph_precomputed,
             codes,
             raw_vecs,
             summaries,
             aux,
             micro: OnceCell::new(),
         }
-    }
-
-    /// Degraded-mode graph features: run the GNN on the valid graphs
-    /// only (outside any training tape) and fill degenerate kernels'
-    /// rows with the column-mean of the valid embeddings.
-    #[cold]
-    fn degraded_graph_embeddings(
-        &self,
-        data: &TrainData<'_>,
-        kernels: &[usize],
-        degenerate: &[bool],
-    ) -> Tensor {
-        let gnn = self.gnn.as_ref().expect("degraded path needs a GNN");
-        let dim = self.cfg.gnn.dim;
-        let n_degen = degenerate.iter().filter(|&&d| d).count();
-        mga_obs::metrics::counter("model.degraded_graphs").add(n_degen as u64);
-        mga_obs::warn!(
-            "{n_degen}/{} graph(s) degenerate; falling back to mean graph embedding",
-            kernels.len()
-        );
-        let valid: Vec<usize> = (0..kernels.len()).filter(|&i| !degenerate[i]).collect();
-        let mut out = Tensor::zeros(kernels.len(), dim);
-        if valid.is_empty() {
-            // No graph signal at all: zero rows, the other modalities
-            // carry the prediction.
-            return out;
-        }
-        let graph_refs: Vec<&ProGraph> = valid.iter().map(|&i| &data.graphs[kernels[i]]).collect();
-        let batch = GraphBatch::new(&graph_refs);
-        let mut tape = Tape::new();
-        let emb = gnn.forward(&mut tape, &self.ps, &batch);
-        let vals = tape.value(emb).clone();
-        let mut mean = vec![0f32; dim];
-        for r in 0..vals.rows() {
-            for (c, acc) in mean.iter_mut().enumerate() {
-                *acc += vals.get(r, c);
-            }
-        }
-        for acc in &mut mean {
-            *acc /= vals.rows() as f32;
-        }
-        for row in 0..kernels.len() {
-            match valid.iter().position(|&i| i == row) {
-                Some(vr) => {
-                    for c in 0..dim {
-                        out.set(row, c, vals.get(vr, c));
-                    }
-                }
-                None => {
-                    for (c, &m) in mean.iter().enumerate() {
-                        out.set(row, c, m);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Forward pass over a prepared batch; returns one logits tensor per
@@ -905,7 +838,6 @@ impl FusionModel {
             tape,
             BatchView {
                 graph: prep.graph.as_ref(),
-                graph_precomputed: prep.graph_precomputed.as_ref(),
                 codes: prep.codes.as_ref(),
                 raw_vecs: prep.raw_vecs.as_ref(),
                 summaries: prep.summaries.as_ref(),
@@ -921,12 +853,7 @@ impl FusionModel {
     fn forward_view(&self, tape: &mut Tape, view: BatchView<'_>) -> Vec<Var> {
         mga_obs::span!("model.forward");
         let mut parts: Vec<Var> = Vec::new();
-        if let Some(pre) = view.graph_precomputed {
-            // Degraded mode: the embeddings were computed outside the
-            // tape (no gradient flows into the GNN for this batch).
-            let t = tape.leaf_ref(pre);
-            parts.push(tape.gather_rows(t, view.sample_rows));
-        } else if let (Some(gnn), Some(batch)) = (&self.gnn, view.graph) {
+        if let (Some(gnn), Some(batch)) = (&self.gnn, view.graph) {
             let kernel_emb = gnn.forward(tape, &self.ps, batch);
             parts.push(tape.gather_rows(kernel_emb, view.sample_rows));
         }
@@ -1111,7 +1038,6 @@ impl FusionModel {
                 tape,
                 BatchView {
                     graph: mb.graph.as_ref(),
-                    graph_precomputed: mb.graph_precomputed.as_ref(),
                     codes: mb.codes.as_ref(),
                     raw_vecs: mb.raw_vecs.as_ref(),
                     summaries: mb.summaries.as_ref(),
@@ -1167,23 +1093,14 @@ impl FusionModel {
 
     /// Predict head classes over an already-prepared batch, skipping the
     /// kernel dedup / graph batching / DAE encoding / scaler work that
-    /// [`FusionModel::prepare`] hoists out. Runs on the model's cached
-    /// scratch tape, so repeated evaluation (`evaluate_online`,
-    /// shadow-eval) replays into recycled buffers instead of rebuilding
-    /// a graph per call; replay is bitwise-identical to a fresh build,
-    /// and a contended (or poisoned) scratch tape falls back to one.
+    /// [`FusionModel::prepare`] hoists out. Runs on the model's scratch
+    /// tape, so repeated evaluation (`evaluate_online`, shadow-eval)
+    /// replays into recycled buffers instead of rebuilding a graph per
+    /// call.
     pub fn predict_prepared(&self, prep: &PreparedBatch) -> Vec<Vec<usize>> {
         mga_obs::span!("model.predict");
-        let mut guard = self.predict_tape.try_lock().ok();
-        let mut fallback = Tape::new();
-        let tape: &mut Tape = match guard.as_deref_mut() {
-            Some(t) => {
-                t.reset();
-                t
-            }
-            None => &mut fallback,
-        };
-        let logits = self.forward_prepared(tape, prep);
+        let mut tape = self.scratch_tape();
+        let logits = self.forward_prepared(&mut tape, prep);
         logits
             .iter()
             .map(|lg| {
@@ -1216,26 +1133,21 @@ impl FusionModel {
 
     /// The fused static-feature row of one kernel — the per-kernel prefix
     /// of the trunk input (graph readout ⊕ DAE code ⊕ scaled raw vector ⊕
-    /// graph summary, in [`FusionModel::forward_prepared`] part order),
-    /// computed outside any training tape. Every kernel involved is
+    /// graph summary, in [`FusionModel::forward_prepared`] part order);
+    /// the GNN runs on the scratch tape. Every kernel involved is
     /// row-stable under batching, so the row is bitwise-identical to the
-    /// one the same kernel gets inside any [`PreparedBatch`]. Degenerate
-    /// graphs (no nodes or no instructions) contribute a zero graph block
-    /// — `prepare`'s batch-mean fallback is batch-dependent and therefore
-    /// not cacheable.
+    /// one the same kernel gets inside any [`PreparedBatch`] — a
+    /// degenerate graph (no instruction node) included, whose graph block
+    /// is zero in both.
     pub fn static_embedding(&self, graph: &ProGraph, vector: &[f32]) -> Vec<f32> {
         mga_obs::span!("model.static_embedding");
         let mut row = Vec::new();
         if let Some(gnn) = &self.gnn {
-            if graph.num_nodes() == 0 || graph.instruction_node_ids().is_empty() {
-                mga_obs::metrics::counter("model.degraded_graphs").inc();
-                row.extend(std::iter::repeat_n(0.0f32, self.cfg.gnn.dim));
-            } else {
-                let batch = GraphBatch::single(graph);
-                let mut tape = Tape::new();
-                let emb = gnn.forward(&mut tape, &self.ps, &batch);
-                row.extend_from_slice(tape.value(emb).row_slice(0));
-            }
+            let batch = GraphBatch::single(graph);
+            note_degenerate(&batch);
+            let mut tape = self.scratch_tape();
+            let emb = gnn.forward(&mut tape, &self.ps, &batch);
+            row.extend_from_slice(tape.value(emb).row_slice(0));
         }
         if let Some(dae) = &self.dae {
             let codes = dae.encode_vectors(&[vector.to_vec()]);
@@ -1255,16 +1167,11 @@ impl FusionModel {
     /// Per-kernel fused static embeddings of a prepared batch: row `r` is
     /// the static trunk-input prefix of `prep.kernels()[r]`, in the same
     /// column order as [`FusionModel::static_embedding`]. Used to warm
-    /// the serving cache from preparation work already done. Returns
-    /// `None` when the batch took the degraded graph path — those rows
-    /// hold batch-dependent mean embeddings that must not be cached.
-    pub fn static_embeddings_prepared(&self, prep: &PreparedBatch) -> Option<Tensor> {
-        if prep.graph_precomputed.is_some() {
-            return None;
-        }
+    /// the serving cache from preparation work already done.
+    pub fn static_embeddings_prepared(&self, prep: &PreparedBatch) -> Tensor {
         let graph_vals = match (&self.gnn, &prep.graph) {
             (Some(gnn), Some(batch)) => {
-                let mut tape = Tape::new();
+                let mut tape = self.scratch_tape();
                 let emb = gnn.forward(&mut tape, &self.ps, batch);
                 Some(tape.value(emb).clone())
             }
@@ -1287,7 +1194,7 @@ impl FusionModel {
                 rows.extend_from_slice(t.row_slice(r));
             }
         }
-        Some(Tensor::from_vec(n, width, rows))
+        Tensor::from_vec(n, width, rows)
     }
 
     /// Number of trainable scalar parameters.
@@ -1716,6 +1623,37 @@ mod tests {
                 "epoch {epoch}: parameters"
             );
         }
+    }
+
+    /// A kernel whose graph is empty reads out as a zero row inside the
+    /// GNN, so the rest of the batch keeps training the GNN: one epoch
+    /// over the width-8 plan gives the `gnn.*` parameters a gradient.
+    #[test]
+    fn empty_graph_leaves_the_gnn_training() {
+        let (mut graphs, vectors, sample_kernel, aux, labels) = toy_data();
+        graphs[3] = ProGraph::default();
+        let data = TrainData {
+            graphs: &graphs,
+            vectors: &vectors,
+            sample_kernel: &sample_kernel,
+            aux: &aux,
+            labels: &[labels],
+        };
+        let train: Vec<usize> = (0..16).collect();
+        let mut cfg = quick_cfg(Modality::Multimodal);
+        cfg.epochs = 0;
+        let mut model = FusionModel::fit(cfg, &data, &train, &[2]);
+        let prep = model.prepare(&data, &train);
+        let targets = batch_targets(&data, &train, 1);
+        let loss = model.epoch_data_parallel(prep.micro_plan(MICROBATCH_WIDTH), &prep, &targets);
+        assert!(loss.is_finite());
+        let gnn_norm: f32 = model
+            .ps
+            .ids()
+            .filter(|&id| model.ps.name(id).starts_with("gnn."))
+            .map(|id| model.ps.grad(id).norm())
+            .sum();
+        assert!(gnn_norm > 0.0, "the GNN got no gradient");
     }
 
     #[test]

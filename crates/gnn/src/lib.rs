@@ -763,6 +763,90 @@ mod tests {
         );
     }
 
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A graph with no instruction node — no nodes at all, or variables
+    /// and constants only — reads out as an exact `+0.0` row under every
+    /// update kind, homogeneous too; the other rows of its batch keep
+    /// their single-graph bits, and backward runs through the batch.
+    /// `FusionModel` packs such graphs like any other and relies on this.
+    #[test]
+    fn graphs_without_instructions_read_out_as_zero_rows() {
+        use mga_graph::{Edge, NodeKind};
+        let g = kernel(true, 2);
+        let empty = ProGraph::default();
+        let mut no_instr = ProGraph::default();
+        no_instr.nodes = [
+            NodeKind::Variable(0),
+            NodeKind::Constant(1),
+            NodeKind::ExternalEntry,
+        ]
+        .map(|kind| Node { kind })
+        .to_vec();
+        no_instr.edges[Relation::Data.index()] = vec![Edge {
+            src: 1,
+            dst: 0,
+            pos: 0,
+        }];
+        no_instr.edges[Relation::Call.index()] = vec![Edge {
+            src: 2,
+            dst: 0,
+            pos: 0,
+        }];
+        let configs = [
+            (UpdateKind::Gru, false),
+            (UpdateKind::SageConcat, false),
+            (UpdateKind::Gcn, false),
+            (UpdateKind::Gat, false),
+            (UpdateKind::Gru, true),
+        ];
+        for (i, (update, homogeneous)) in configs.into_iter().enumerate() {
+            let what = format!("{update:?}, homogeneous {homogeneous}");
+            let mut ps = ParamSet::new();
+            let mut rng = StdRng::seed_from_u64(40 + i as u64);
+            let cfg = GnnConfig {
+                dim: 8,
+                layers: 2,
+                update,
+                homogeneous,
+            };
+            let gnn = HeteroGnn::new(&mut ps, "g", &cfg, &mut rng);
+
+            let mut solo = Tape::new();
+            let o = gnn.forward(&mut solo, &ps, &GraphBatch::single(&g));
+            let want = bits(solo.value(o).row_slice(0));
+
+            let mut tape = Tape::new();
+            let batch = GraphBatch::new(&[&empty, &g, &no_instr]);
+            let out = gnn.forward(&mut tape, &ps, &batch);
+            let rows = tape.value(out);
+            assert_eq!(rows.shape(), (3, 8), "{what}");
+            for r in [0, 2] {
+                assert_eq!(bits(rows.row_slice(r)), [0; 8], "{what}: row {r}");
+            }
+            assert_eq!(bits(rows.row_slice(1)), want, "{what}: row 1");
+            let loss = tape.mse_loss(out, &Tensor::full(3, 8, 1.0));
+            tape.backward(loss);
+            tape.accumulate_param_grads(&mut ps);
+            assert!(
+                ps.ids().any(|id| ps.grad(id).norm() > 0.0),
+                "{what}: the real graph must send gradient"
+            );
+
+            let mut tape = Tape::new();
+            let out = gnn.forward(&mut tape, &ps, &GraphBatch::new(&[&empty, &no_instr]));
+            assert_eq!(
+                bits(tape.value(out).data()),
+                [0; 16],
+                "{what}: all degenerate"
+            );
+            let loss = tape.mse_loss(out, &Tensor::full(2, 8, 1.0));
+            tape.backward(loss);
+        }
+    }
+
     #[test]
     fn gradients_reach_embedding_table() {
         let g = kernel(true, 1);

@@ -110,10 +110,6 @@ impl ProGraph {
         self.edges[r.index()].len()
     }
 
-    pub fn total_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
     /// Indices of instruction nodes (used for readout pooling).
     pub fn instruction_nodes(&self) -> Vec<u32> {
         self.instruction_node_ids().to_vec()

@@ -22,15 +22,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Identity => x,
-        }
-    }
-
     /// The equivalent fused-kernel activation (see [`Tape::linear`]).
     pub fn fused(self) -> FusedAct {
         match self {

@@ -182,11 +182,20 @@ impl MinMaxScaler {
         }
     }
 
-    pub fn transform(&self, data: &mut [Vec<f32>]) {
-        mga_obs::span!("scaler.minmax.transform");
-        for row in data {
-            self.transform_row(row);
+    /// Scale one raw row into `dst` (length [`MinMaxScaler::dims`]) and
+    /// return whether it was imputed. A row of the wrong width or with
+    /// a non-finite value (missing or corrupt dynamic features) becomes
+    /// the scaled mid-range, 0.5, so the static modalities decide; any
+    /// other row is [`MinMaxScaler::transform_row`]ed. Training,
+    /// prediction and serving all scale aux rows through this one rule.
+    pub fn scale_into(&self, dst: &mut [f32], raw: &[f32]) -> bool {
+        if raw.len() != self.dims() || raw.iter().any(|x| !x.is_finite()) {
+            dst.fill(0.5);
+            return true;
         }
+        dst.copy_from_slice(raw);
+        self.transform_row(dst);
+        false
     }
 
     pub fn dims(&self) -> usize {
@@ -284,6 +293,19 @@ mod tests {
         let mut out_of_range = vec![100.0, -100.0];
         s.transform_row(&mut out_of_range);
         assert_eq!(out_of_range, vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn scale_into_imputes_short_and_non_finite_rows() {
+        let s = MinMaxScaler::fit(&[vec![0.0, 10.0], vec![4.0, 20.0]], 2);
+        let mut dst = [9.0f32; 2];
+        assert!(!s.scale_into(&mut dst, &[1.0, 15.0]));
+        assert_eq!(dst, [0.25, 0.5]);
+        for raw in [&[1.0][..], &[1.0, f32::NAN], &[f32::INFINITY, 15.0], &[]] {
+            let mut dst = [9.0f32; 2];
+            assert!(s.scale_into(&mut dst, raw), "{raw:?} must be imputed");
+            assert_eq!(dst, [0.5, 0.5]);
+        }
     }
 
     #[test]

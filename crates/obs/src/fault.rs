@@ -15,7 +15,7 @@
 //! | `grad`   | `nan`                  | poison a gradient with NaN after the backward pass |
 //! | `pool`   | `panic`                | panic inside a worker-pool task body |
 //! | `ckpt`   | `truncate`, `bitflip`  | corrupt checkpoint bytes before they reach disk |
-//! | `sample` | `empty`                | treat a kernel's graph sample as degenerate at predict |
+//! | `sample` | `empty`                | pack an empty graph in a kernel's slot of a prepared batch |
 //! | `shard`  | `crash`, `stall`       | kill or stall a serving-cluster shard at a tick boundary |
 //! | `route`  | `misdirect`            | route a request to the wrong shard (`mga-serve`) |
 //! | `swap`   | `corrupt`              | corrupt hot-swap checkpoint bytes after the read |
@@ -45,7 +45,7 @@ pub enum Site {
     Pool,
     /// On the serialized checkpoint bytes before writing (`mga-core`).
     Ckpt,
-    /// Per distinct kernel during prediction (`mga-core`).
+    /// Per distinct kernel while preparing a batch (`mga-core`).
     Sample,
     /// Per serving-cluster shard, once per cluster tick (`mga-serve`).
     Shard,
@@ -93,7 +93,8 @@ pub enum Kind {
     Truncate,
     /// Flip one bit (`ckpt`).
     BitFlip,
-    /// Pretend the sample is empty/degenerate (`sample`).
+    /// Pack an empty graph in place of the kernel's graph; it reads out
+    /// as a zero graph embedding (`sample`).
     Empty,
     /// Take the shard down hard; its queue must be evacuated (`shard`).
     Crash,

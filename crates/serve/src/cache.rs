@@ -165,14 +165,11 @@ impl EmbeddingCache {
 
     /// Warm the cache from preparation work already done: inserts one
     /// row per distinct kernel of `prep`, computed by
-    /// [`FusionModel::static_embeddings_prepared`]. Returns the number
-    /// of rows inserted — 0 when the batch took the degraded graph path
-    /// (those rows are batch-dependent means and must not be cached).
+    /// [`FusionModel::static_embeddings_prepared`], and returns the
+    /// number of rows inserted. Every row is cacheable: a kernel's row
+    /// does not depend on the batch it was prepared in.
     pub fn warm(&mut self, model: &FusionModel, prep: &PreparedBatch) -> usize {
-        let rows = match model.static_embeddings_prepared(prep) {
-            Some(t) => t,
-            None => return 0,
-        };
+        let rows = model.static_embeddings_prepared(prep);
         assert_eq!(rows.cols(), self.dim, "prepared embedding width mismatch");
         for (r, &kernel) in prep.kernels().iter().enumerate() {
             self.insert(kernel, rows.row_slice(r));

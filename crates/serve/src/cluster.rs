@@ -49,7 +49,6 @@
 //! rollback is the absence of any change.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 use std::path::Path;
 
 use mga_core::model::FusionModel;
@@ -744,12 +743,6 @@ impl<'a> Cluster<'a> {
         }
         metrics::gauge("serve.cluster.shards").set(self.shards.len() as f64);
         self.overflow_depth.set(self.overflow.len() as f64);
-    }
-
-    /// Write the admission flight ring (sheds/redirects/reroutes) as
-    /// JSONL, oldest first.
-    pub fn dump_admission_flight(&self, w: &mut impl Write) -> io::Result<()> {
-        self.flight.dump(w)
     }
 }
 

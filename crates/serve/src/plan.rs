@@ -103,22 +103,15 @@ impl InferencePlan {
     }
 
     /// Scale one raw dynamic-feature row into `dst` (length
-    /// [`InferencePlan::aux_dim`]), replicating `FusionModel::prepare`'s
-    /// imputation rule bit for bit: a missing-width or non-finite row is
-    /// imputed to the scaled mid-range (0.5) so the static modalities
-    /// decide.
+    /// [`InferencePlan::aux_dim`]) by [`MinMaxScaler::scale_into`], the
+    /// rule `FusionModel::prepare` uses too: a wrong-width or non-finite
+    /// row is imputed to the scaled mid-range (0.5) and counted under
+    /// `serve.degraded_aux`.
     pub fn scale_aux_into(&self, dst: &mut [f32], raw: &[f32]) {
-        let scaler = match &self.aux_scaler {
-            Some(s) => s,
-            None => return,
-        };
-        debug_assert_eq!(dst.len(), self.aux_dim);
-        if raw.len() != self.aux_dim || raw.iter().any(|x| !x.is_finite()) {
-            mga_obs::metrics::counter("serve.degraded_aux").inc();
-            dst.fill(0.5);
-        } else {
-            dst.copy_from_slice(raw);
-            scaler.transform_row(dst);
+        if let Some(scaler) = &self.aux_scaler {
+            if scaler.scale_into(dst, raw) {
+                mga_obs::metrics::counter("serve.degraded_aux").inc();
+            }
         }
     }
 

@@ -13,6 +13,7 @@ use mga_core::model::{FusionModel, Modality, ModelConfig, TrainData};
 use mga_core::omp::OmpTask;
 use mga_dae::DaeConfig;
 use mga_gnn::GnnConfig;
+use mga_graph::ProGraph;
 use mga_kernels::catalog::openmp_thread_dataset;
 use mga_serve::{Engine, Request, Response, ServeConfig};
 use mga_sim::cpu::CpuSpec;
@@ -180,6 +181,68 @@ fn warm_cache_is_bitwise_identical_to_cold() {
     let (hits, misses, _) = warm.cache().stats();
     assert_eq!(hits, idx.len() as u64, "warmed kernels must all hit");
     assert_eq!(misses, 0, "no slow-path compute after a full warm");
+}
+
+/// A kernel whose graph is empty warms like any other — its graph block
+/// is zero whatever batch it was prepared in — and every sample serves
+/// the classes `predict_prepared` gives on the batch that warmed it.
+#[test]
+fn empty_graph_kernel_warms_and_serves_like_predict() {
+    let c = ctx();
+    let data = train_data(c);
+    let mut graphs = data.graphs.to_vec();
+    graphs[data.sample_kernel[0]] = ProGraph::default();
+    let data = TrainData {
+        graphs: &graphs,
+        ..data
+    };
+    let idx: Vec<usize> = (0..c.ds.samples.len()).collect();
+    let prep = c.model.prepare(&data, &idx);
+    let want = c.model.predict_prepared(&prep);
+
+    let mut engine = Engine::new(&c.model, &graphs, data.vectors, ServeConfig::default());
+    assert_eq!(
+        engine.warm(&prep),
+        prep.kernels().len(),
+        "every kernel must warm"
+    );
+    let mut cls = vec![0usize; engine.plan().num_heads()];
+    for (j, &i) in idx.iter().enumerate() {
+        engine
+            .serve_one(data.sample_kernel[i], &data.aux[i], &mut cls)
+            .expect("serve");
+        let expected: Vec<usize> = want.iter().map(|head| head[j]).collect();
+        assert_eq!(cls, expected, "sample {i} diverged from predict_prepared");
+    }
+    let (_, misses, _) = engine.cache().stats();
+    assert_eq!(misses, 0, "no slow-path compute after a full warm");
+}
+
+/// A NaN aux value and a short aux row go through one imputation rule
+/// in `predict` and in the engine, so both give the same classes.
+#[test]
+fn imputed_aux_rows_serve_like_predict() {
+    let c = ctx();
+    let data = train_data(c);
+    let mut aux = data.aux.to_vec();
+    aux[0][0] = f32::NAN;
+    aux[1].truncate(1);
+    let data = TrainData { aux: &aux, ..data };
+    let want = c.model.predict(&data, &[0, 1]);
+
+    let mut engine = Engine::new(&c.model, data.graphs, data.vectors, ServeConfig::default());
+    assert!(
+        aux[1].len() < engine.plan().aux_dim(),
+        "row 1 must be short"
+    );
+    let mut cls = vec![0usize; engine.plan().num_heads()];
+    for (j, i) in [0usize, 1].into_iter().enumerate() {
+        engine
+            .serve_one(data.sample_kernel[i], &aux[i], &mut cls)
+            .expect("serve");
+        let expected: Vec<usize> = want.iter().map(|head| head[j]).collect();
+        assert_eq!(cls, expected, "sample {i} diverged from predict");
+    }
 }
 
 /// A kernel absent from the warmed set (the paper's unseen-kernel
