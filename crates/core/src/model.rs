@@ -57,13 +57,16 @@ pub enum Modality {
     EarlyFusion,
 }
 
+/// Width of [`graph_summary`]'s feature row.
+const SUMMARY_WIDTH: usize = 10;
+
 /// Hand-built summary features of a flow graph (for the early-fusion
 /// ablation): node/edge-kind counts, log-scaled.
-pub fn graph_summary(g: &ProGraph) -> Vec<f32> {
+pub fn graph_summary(g: &ProGraph) -> [f32; SUMMARY_WIDTH] {
     let stats = mga_graph::GraphStats::of(g);
     let lg = |x: usize| ((x + 1) as f32).ln();
     let nodes = stats.nodes.max(1) as f32;
-    vec![
+    [
         lg(stats.nodes),
         lg(stats.instructions),
         lg(stats.variables),
@@ -188,9 +191,8 @@ pub struct FusionModel {
     /// allocations.
     pub(crate) dp: DpState,
     /// Scratch tape of every grad-free pass ([`FusionModel::predict_prepared`],
-    /// [`FusionModel::static_embedding`],
-    /// [`FusionModel::static_embeddings_prepared`]): repeated evaluation
-    /// and serving cache misses replay into recycled buffers instead of
+    /// [`FusionModel::static_embeddings`]): repeated evaluation and
+    /// serving cache misses replay into recycled buffers instead of
     /// building a fresh tape per call. Replay is bitwise-identical to a
     /// fresh build.
     scratch: Mutex<Tape>,
@@ -250,7 +252,7 @@ impl FusionModel {
             in_dim += vec_dim;
         }
         if cfg.modality == Modality::EarlyFusion {
-            in_dim += 10; // graph_summary width
+            in_dim += SUMMARY_WIDTH;
         }
         if cfg.use_aux && aux_dim > 0 {
             in_dim += aux_dim;
@@ -312,34 +314,64 @@ fn note_degenerate(batch: &GraphBatch) {
     }
 }
 
+/// The static inputs of a set of kernels, one row per kernel: everything
+/// the model reads about a kernel ahead of its dynamic features. Built
+/// only by [`FusionModel::kernel_tables`], for training, prediction and
+/// serving alike, and joined in one column order by
+/// [`FusionModel::static_block`].
+struct KernelTables {
+    /// Packed flow graphs. A degenerate graph (no nodes, or no
+    /// instruction node) is packed like any other and reads out as a
+    /// zero row.
+    graph: Option<GraphBatch>,
+    /// DAE-encoded program vectors.
+    codes: Option<Tensor>,
+    /// Gaussian-rank-scaled raw vectors.
+    raw_vecs: Option<Tensor>,
+    /// Hand-built graph summaries (early fusion).
+    summaries: Option<Tensor>,
+}
+
+impl KernelTables {
+    /// The tables of the kernels at ascending `rows`, in that order
+    /// (row-stable: each kept kernel gets bitwise the rows it has here).
+    fn subset(&self, rows: &[usize]) -> KernelTables {
+        KernelTables {
+            graph: self.graph.as_ref().map(|g| g.subset(rows)),
+            codes: self.codes.as_ref().map(|t| subset_rows(t, rows)),
+            raw_vecs: self.raw_vecs.as_ref().map(|t| subset_rows(t, rows)),
+            summaries: self.summaries.as_ref().map(|t| subset_rows(t, rows)),
+        }
+    }
+}
+
+/// One forward pass's inputs: its kernels' static tables, each sample's
+/// row in them and the samples' scaled aux rows. A [`PreparedBatch`] and
+/// each of its [`MicroBatch`]es hold one, so prediction and the training
+/// replicas share one forward ([`FusionModel::forward_inputs`]).
+struct Inputs {
+    tables: KernelTables,
+    /// Per sample: its kernel's row in `tables`.
+    sample_rows: Vec<u32>,
+    /// Min-max-scaled auxiliary features, one row per sample.
+    aux: Option<Tensor>,
+}
+
 /// Epoch-invariant state of one sample batch, computed once by
 /// [`FusionModel::prepare`] and replayed by every epoch's forward pass.
 ///
 /// Everything here is a pure function of the (frozen) preprocessing
-/// stages and the dataset — the block-diagonal [`GraphBatch`], the DAE
-/// codes, the scaled raw vectors, the graph summaries and the scaled aux
-/// features. Only the GNN and the fused MLP have trainable parameters,
-/// so only they re-run per epoch; the rest enters the tape as cached
-/// leaves. This is what makes the epoch loop cheap: the per-epoch cost
-/// is the differentiable part of the model, not the feature pipeline.
+/// stages and the dataset — the kernels' static tables and the scaled
+/// aux features. Only the GNN and the fused MLP have trainable
+/// parameters, so only they re-run per epoch; the rest enters the tape
+/// as cached leaves. This is what makes the epoch loop cheap: the
+/// per-epoch cost is the differentiable part of the model, not the
+/// feature pipeline.
 pub struct PreparedBatch {
-    /// Distinct kernel ids of the batch, sorted — row `r` of every
-    /// per-kernel table below belongs to `kernels[r]`.
+    /// Distinct kernel ids of the batch, sorted — row `r` of the kernel
+    /// tables belongs to `kernels[r]`.
     kernels: Vec<usize>,
-    /// Per sample: its kernel's row in the batch-local kernel tables.
-    sample_rows: Vec<u32>,
-    /// Packed flow graphs of the batch's distinct kernels. A degenerate
-    /// graph (no nodes, or no instruction node) is packed like any other
-    /// and reads out as a zero row.
-    graph: Option<GraphBatch>,
-    /// DAE-encoded program vectors, one row per distinct kernel.
-    codes: Option<Tensor>,
-    /// Gaussian-rank-scaled raw vectors, one row per distinct kernel.
-    raw_vecs: Option<Tensor>,
-    /// Hand-built graph summaries (early fusion), one row per kernel.
-    summaries: Option<Tensor>,
-    /// Min-max-scaled auxiliary features, one row per *sample*.
-    aux: Option<Tensor>,
+    inputs: Inputs,
     /// Lazily built micro-batch plan of the training epoch, with the
     /// width it was built at. Built once per batch: the partition is a
     /// pure function of the batch and the width, so every epoch replays
@@ -348,37 +380,14 @@ pub struct PreparedBatch {
 }
 
 /// One micro-batch of the training epoch: a contiguous sample range
-/// `[lo, hi)` of its [`PreparedBatch`] plus per-kernel tables restricted
-/// to the kernels those samples reference, so each replica's forward
-/// pass — including the GNN, the dominant epoch cost — runs only on its
-/// own slice of the batch.
+/// `[lo, hi)` of its [`PreparedBatch`] with inputs of its own — the
+/// kernel tables restricted to the kernels those samples reference, and
+/// the range's aux rows — so each replica's forward pass, including the
+/// GNN, the dominant epoch cost, runs only on its own slice of the batch.
 struct MicroBatch {
     lo: usize,
     hi: usize,
-    /// Per sample in `[lo, hi)`: its kernel's row in this micro-batch's
-    /// tables (the micro-local analogue of `PreparedBatch::sample_rows`).
-    sample_rows: Vec<u32>,
-    /// Sub-batch of the graphs this range's kernels own (row-stable:
-    /// bitwise the same readout rows as the full batch).
-    graph: Option<GraphBatch>,
-    /// Row subsets of the corresponding `PreparedBatch` tables.
-    codes: Option<Tensor>,
-    raw_vecs: Option<Tensor>,
-    summaries: Option<Tensor>,
-}
-
-/// Borrowed view of one forward pass's inputs — either a whole
-/// [`PreparedBatch`] or one [`MicroBatch`] of it — so prediction and the
-/// training replicas share a single forward implementation
-/// ([`FusionModel::forward_view`]).
-struct BatchView<'a> {
-    graph: Option<&'a GraphBatch>,
-    codes: Option<&'a Tensor>,
-    raw_vecs: Option<&'a Tensor>,
-    summaries: Option<&'a Tensor>,
-    sample_rows: &'a [u32],
-    /// The per-sample aux table plus this view's row range within it.
-    aux: Option<(&'a Tensor, usize, usize)>,
+    inputs: Inputs,
 }
 
 /// Micro-batch width W of the training epoch. Deliberately *not*
@@ -413,7 +422,7 @@ fn micro_ranges(sample_rows: &[u32], width: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Copy the given rows of a per-kernel table into a dense sub-table.
+/// Copy the given rows of a table into a dense sub-table.
 fn subset_rows(t: &Tensor, rows: &[usize]) -> Tensor {
     let cols = t.cols();
     let mut data: Vec<f32> = Vec::with_capacity(rows.len() * cols);
@@ -432,7 +441,7 @@ impl PreparedBatch {
 
     /// Number of samples in the batch.
     pub fn num_samples(&self) -> usize {
-        self.sample_rows.len()
+        self.inputs.sample_rows.len()
     }
 
     /// The micro-batch plan at `width`, built on first use and cached.
@@ -440,7 +449,7 @@ impl PreparedBatch {
     /// (tests that vary the width prepare a fresh batch per width).
     fn micro_plan(&self, width: usize) -> &[MicroBatch] {
         let (planned, micros) = self.micro.get_or_init(|| {
-            let micros = micro_ranges(&self.sample_rows, width)
+            let micros = micro_ranges(&self.inputs.sample_rows, width)
                 .into_iter()
                 .map(|(lo, hi)| self.build_micro(lo, hi))
                 .collect();
@@ -454,24 +463,26 @@ impl PreparedBatch {
     }
 
     /// Materialize one micro-batch: local kernel tables for the range's
-    /// kernels plus the remapped sample→row indices.
+    /// kernels, the remapped sample→row indices and the range's aux rows.
     fn build_micro(&self, lo: usize, hi: usize) -> MicroBatch {
-        let mut kernel_rows: Vec<u32> = self.sample_rows[lo..hi].to_vec();
+        let ranged = &self.inputs.sample_rows[lo..hi];
+        let mut kernel_rows: Vec<u32> = ranged.to_vec();
         kernel_rows.sort_unstable();
         kernel_rows.dedup();
-        let sample_rows: Vec<u32> = self.sample_rows[lo..hi]
+        let sample_rows: Vec<u32> = ranged
             .iter()
             .map(|r| kernel_rows.binary_search(r).unwrap() as u32)
             .collect();
         let rows: Vec<usize> = kernel_rows.iter().map(|&r| r as usize).collect();
+        let span: Vec<usize> = (lo..hi).collect();
         MicroBatch {
             lo,
             hi,
-            sample_rows,
-            graph: self.graph.as_ref().map(|g| g.subset(&rows)),
-            codes: self.codes.as_ref().map(|t| subset_rows(t, &rows)),
-            raw_vecs: self.raw_vecs.as_ref().map(|t| subset_rows(t, &rows)),
-            summaries: self.summaries.as_ref().map(|t| subset_rows(t, &rows)),
+            inputs: Inputs {
+                tables: self.inputs.tables.subset(&rows),
+                sample_rows,
+                aux: self.inputs.aux.as_ref().map(|t| subset_rows(t, &span)),
+            },
         }
     }
 }
@@ -750,8 +761,8 @@ impl FusionModel {
     }
 
     /// Hoist every epoch-invariant computation for `idx` of `data` into a
-    /// reusable [`PreparedBatch`]: kernel dedup + sample-row mapping,
-    /// graph batching, DAE encoding, scaler transforms and summaries.
+    /// reusable [`PreparedBatch`]: kernel dedup + sample-row mapping, the
+    /// kernels' static tables (`kernel_tables`) and the scaled aux rows.
     pub fn prepare(&self, data: &TrainData<'_>, idx: &[usize]) -> PreparedBatch {
         mga_obs::span!("model.prepare");
         // Distinct kernels in this batch, and each sample's local row.
@@ -764,46 +775,20 @@ impl FusionModel {
             .map(|&i| local_row(data.sample_kernel[i]))
             .collect();
 
-        let graph = self.gnn.as_ref().map(|_| {
-            let empty = ProGraph::default();
-            let mut graph_refs: Vec<&ProGraph> = kernels.iter().map(|&k| &data.graphs[k]).collect();
-            if mga_obs::fault::armed() {
-                // `sample:empty`: one draw per kernel, in kernel order.
-                for g in graph_refs.iter_mut() {
-                    if let Some(shot) = mga_obs::fault::fire(mga_obs::fault::Site::Sample) {
-                        if shot.kind == mga_obs::fault::Kind::Empty {
-                            *g = &empty;
-                        }
+        let empty = ProGraph::default();
+        let mut graphs: Vec<&ProGraph> = kernels.iter().map(|&k| &data.graphs[k]).collect();
+        if self.gnn.is_some() && mga_obs::fault::armed() {
+            // `sample:empty`: one draw per kernel, in kernel order.
+            for g in graphs.iter_mut() {
+                if let Some(shot) = mga_obs::fault::fire(mga_obs::fault::Site::Sample) {
+                    if shot.kind == mga_obs::fault::Kind::Empty {
+                        *g = &empty;
                     }
                 }
             }
-            let batch = GraphBatch::new(&graph_refs);
-            note_degenerate(&batch);
-            batch
-        });
-        let codes = self.dae.as_ref().map(|dae| {
-            let kernel_vecs: Vec<Vec<f32>> =
-                kernels.iter().map(|&k| data.vectors[k].clone()).collect();
-            dae.encode_vectors(&kernel_vecs)
-        });
-        let raw_vecs = self.raw_vec_scaler.as_ref().map(|scaler| {
-            let dim = data.vectors[0].len();
-            let mut rows: Vec<f32> = Vec::with_capacity(kernels.len() * dim);
-            for &k in &kernels {
-                let mut v = data.vectors[k].clone();
-                scaler.transform_row(&mut v);
-                rows.extend_from_slice(&v);
-            }
-            Tensor::from_vec(kernels.len(), dim, rows)
-        });
-        let summaries = (self.cfg.modality == Modality::EarlyFusion).then(|| {
-            let width = graph_summary(&data.graphs[0]).len();
-            let mut rows: Vec<f32> = Vec::with_capacity(kernels.len() * width);
-            for &k in &kernels {
-                rows.extend(graph_summary(&data.graphs[k]));
-            }
-            Tensor::from_vec(kernels.len(), width, rows)
-        });
+        }
+        let vectors: Vec<&[f32]> = kernels.iter().map(|&k| &data.vectors[k][..]).collect();
+        let tables = self.kernel_tables(&graphs, &vectors);
         let aux = self.aux_scaler.as_ref().map(|scaler| {
             let dims = scaler.dims();
             let mut degraded = 0u64;
@@ -820,13 +805,64 @@ impl FusionModel {
         });
         PreparedBatch {
             kernels,
-            sample_rows,
+            inputs: Inputs {
+                tables,
+                sample_rows,
+                aux,
+            },
+            micro: OnceCell::new(),
+        }
+    }
+
+    /// The static tables of the kernels whose flow graphs and program
+    /// vectors are `graphs[r]` and `vectors[r]`; row `r` of every table
+    /// belongs to kernel `r`. Each table is present when the modality
+    /// uses it: the packed graphs (degenerate ones counted by
+    /// [`note_degenerate`]), the DAE codes, the Gaussian-rank-scaled raw
+    /// vectors and the graph summaries.
+    fn kernel_tables(&self, graphs: &[&ProGraph], vectors: &[&[f32]]) -> KernelTables {
+        let graph = self.gnn.as_ref().map(|_| {
+            let batch = GraphBatch::new(graphs);
+            note_degenerate(&batch);
+            batch
+        });
+        let codes = self.dae.as_ref().map(|dae| dae.encode(vectors));
+        let raw_vecs = self.raw_vec_scaler.as_ref().map(|scaler| {
+            Tensor::from_vec(vectors.len(), scaler.dims(), scaler.transform_rows(vectors))
+        });
+        let summaries = (self.cfg.modality == Modality::EarlyFusion).then(|| {
+            let rows: Vec<f32> = graphs.iter().flat_map(|g| graph_summary(g)).collect();
+            Tensor::from_vec(graphs.len(), SUMMARY_WIDTH, rows)
+        });
+        KernelTables {
             graph,
             codes,
             raw_vecs,
             summaries,
-            aux,
-            micro: OnceCell::new(),
+        }
+    }
+
+    /// The static block of the trunk input, one row per kernel of
+    /// `tables`: GNN readout ⊕ DAE code ⊕ scaled raw vector ⊕ graph
+    /// summary, for the parts the modality uses. The one place the part
+    /// order lives: the forward pass gathers its sample rows from this
+    /// block and serving caches its rows. `None` when the model has no
+    /// static modality.
+    fn static_block(&self, tape: &mut Tape, tables: &KernelTables) -> Option<Var> {
+        let mut parts: Vec<Var> = Vec::with_capacity(4);
+        if let (Some(gnn), Some(batch)) = (&self.gnn, &tables.graph) {
+            parts.push(gnn.forward(tape, &self.ps, batch));
+        }
+        for t in [&tables.codes, &tables.raw_vecs, &tables.summaries]
+            .into_iter()
+            .flatten()
+        {
+            parts.push(tape.leaf_ref(t));
+        }
+        match parts.len() {
+            0 => None,
+            1 => Some(parts[0]),
+            _ => Some(tape.concat_cols(&parts)),
         }
     }
 
@@ -834,43 +870,20 @@ impl FusionModel {
     /// head. Only the GNN and the fused MLP compute — the static
     /// features enter the tape as cached leaves.
     pub fn forward_prepared(&self, tape: &mut Tape, prep: &PreparedBatch) -> Vec<Var> {
-        self.forward_view(
-            tape,
-            BatchView {
-                graph: prep.graph.as_ref(),
-                codes: prep.codes.as_ref(),
-                raw_vecs: prep.raw_vecs.as_ref(),
-                summaries: prep.summaries.as_ref(),
-                sample_rows: &prep.sample_rows,
-                aux: prep.aux.as_ref().map(|t| (t, 0, prep.num_samples())),
-            },
-        )
+        self.forward_inputs(tape, &prep.inputs)
     }
 
     /// The one forward implementation behind both the full-batch pass
-    /// and the data-parallel micro-batch passes: a [`BatchView`] names
-    /// which tables to read and which aux row range belongs to it.
-    fn forward_view(&self, tape: &mut Tape, view: BatchView<'_>) -> Vec<Var> {
+    /// and the data-parallel micro-batch passes: each sample's row of
+    /// the static block, then its aux row, into the trunk and heads.
+    fn forward_inputs(&self, tape: &mut Tape, inputs: &Inputs) -> Vec<Var> {
         mga_obs::span!("model.forward");
-        let mut parts: Vec<Var> = Vec::new();
-        if let (Some(gnn), Some(batch)) = (&self.gnn, view.graph) {
-            let kernel_emb = gnn.forward(tape, &self.ps, batch);
-            parts.push(tape.gather_rows(kernel_emb, view.sample_rows));
+        let mut parts: Vec<Var> = Vec::with_capacity(2);
+        if let Some(block) = self.static_block(tape, &inputs.tables) {
+            parts.push(tape.gather_rows(block, &inputs.sample_rows));
         }
-        if let Some(codes) = view.codes {
-            let codes = tape.leaf_ref(codes);
-            parts.push(tape.gather_rows(codes, view.sample_rows));
-        }
-        if let Some(vecs) = view.raw_vecs {
-            let vecs = tape.leaf_ref(vecs);
-            parts.push(tape.gather_rows(vecs, view.sample_rows));
-        }
-        if let Some(summaries) = view.summaries {
-            let t = tape.leaf_ref(summaries);
-            parts.push(tape.gather_rows(t, view.sample_rows));
-        }
-        if let Some((aux, lo, hi)) = view.aux {
-            parts.push(tape.leaf_rows(aux, lo, hi));
+        if let Some(aux) = &inputs.aux {
+            parts.push(tape.leaf_ref(aux));
         }
         let fused = if parts.len() == 1 {
             parts[0]
@@ -949,7 +962,7 @@ impl FusionModel {
         mga_obs::metrics::counter("train.epochs").inc();
         mga_obs::metrics::gauge("train.loss").set(loss as f64);
         mga_obs::metrics::gauge("train.grad_norm").set(grad_norm as f64);
-        mga_obs::metrics::log_histogram("train.batch_rows").observe(prep.sample_rows.len() as u64);
+        mga_obs::metrics::log_histogram("train.batch_rows").observe(prep.num_samples() as u64);
         EpochStats { loss, grad_norm }
     }
 
@@ -982,11 +995,10 @@ impl FusionModel {
             // Chunk i owns replica i and shard i; the model is only read.
             let mut pairs: Vec<(&mut Replica, &mut GradShard)> =
                 dp.replicas.iter_mut().zip(dp.shards.shards_mut()).collect();
-            let aux = prep.aux.as_ref();
             let model = &*self;
             pool::parallel_for_mut(&mut pairs, |i, (rep, shard)| {
                 rep.loss =
-                    model.micro_batch_pass(&mut rep.tape, shard, &micros[i], aux, targets, n_total);
+                    model.micro_batch_pass(&mut rep.tape, shard, &micros[i], targets, n_total);
             });
         }
         let (mut alloc, mut reuse, mut steady) = (0u64, 0u64, 0u64);
@@ -1027,24 +1039,13 @@ impl FusionModel {
         tape: &mut Tape,
         shard: &mut GradShard,
         mb: &MicroBatch,
-        aux: Option<&Tensor>,
         targets: &[Vec<u32>],
         n_total: usize,
     ) -> f32 {
         tape.reset();
         let logits = {
             mga_obs::span!("forward");
-            self.forward_view(
-                tape,
-                BatchView {
-                    graph: mb.graph.as_ref(),
-                    codes: mb.codes.as_ref(),
-                    raw_vecs: mb.raw_vecs.as_ref(),
-                    summaries: mb.summaries.as_ref(),
-                    sample_rows: &mb.sample_rows,
-                    aux: aux.map(|t| (t, mb.lo, mb.hi)),
-                },
-            )
+            self.forward_inputs(tape, &mb.inputs)
         };
         debug_assert_eq!(logits.len(), targets.len());
         let (total, loss) = {
@@ -1131,70 +1132,22 @@ impl FusionModel {
         }
     }
 
-    /// The fused static-feature row of one kernel — the per-kernel prefix
-    /// of the trunk input (graph readout ⊕ DAE code ⊕ scaled raw vector ⊕
-    /// graph summary, in [`FusionModel::forward_prepared`] part order);
-    /// the GNN runs on the scratch tape. Every kernel involved is
-    /// row-stable under batching, so the row is bitwise-identical to the
-    /// one the same kernel gets inside any [`PreparedBatch`] — a
-    /// degenerate graph (no instruction node) included, whose graph block
-    /// is zero in both.
-    pub fn static_embedding(&self, graph: &ProGraph, vector: &[f32]) -> Vec<f32> {
+    /// The static block of each kernel whose flow graph and program
+    /// vector are `graphs[r]` and `vectors[r]`: row `r` is that kernel's
+    /// prefix of the trunk input, built by the same `kernel_tables` and
+    /// `static_block` the forward pass uses, on the scratch tape. Every
+    /// part is row-stable under batching, so a kernel's row is bitwise
+    /// the same whichever kernels it is computed with — a degenerate
+    /// graph (no instruction node) included, whose graph block is zero.
+    /// The serving cache stores these rows.
+    pub fn static_embeddings(&self, graphs: &[&ProGraph], vectors: &[&[f32]]) -> Tensor {
         mga_obs::span!("model.static_embedding");
-        let mut row = Vec::new();
-        if let Some(gnn) = &self.gnn {
-            let batch = GraphBatch::single(graph);
-            note_degenerate(&batch);
-            let mut tape = self.scratch_tape();
-            let emb = gnn.forward(&mut tape, &self.ps, &batch);
-            row.extend_from_slice(tape.value(emb).row_slice(0));
+        let tables = self.kernel_tables(graphs, vectors);
+        let mut tape = self.scratch_tape();
+        match self.static_block(&mut tape, &tables) {
+            Some(block) => tape.value(block).clone(),
+            None => Tensor::zeros(graphs.len(), 0),
         }
-        if let Some(dae) = &self.dae {
-            let codes = dae.encode_vectors(&[vector.to_vec()]);
-            row.extend_from_slice(codes.row_slice(0));
-        }
-        if let Some(scaler) = &self.raw_vec_scaler {
-            let mut v = vector.to_vec();
-            scaler.transform_row(&mut v);
-            row.extend_from_slice(&v);
-        }
-        if self.cfg.modality == Modality::EarlyFusion {
-            row.extend(graph_summary(graph));
-        }
-        row
-    }
-
-    /// Per-kernel fused static embeddings of a prepared batch: row `r` is
-    /// the static trunk-input prefix of `prep.kernels()[r]`, in the same
-    /// column order as [`FusionModel::static_embedding`]. Used to warm
-    /// the serving cache from preparation work already done.
-    pub fn static_embeddings_prepared(&self, prep: &PreparedBatch) -> Tensor {
-        let graph_vals = match (&self.gnn, &prep.graph) {
-            (Some(gnn), Some(batch)) => {
-                let mut tape = self.scratch_tape();
-                let emb = gnn.forward(&mut tape, &self.ps, batch);
-                Some(tape.value(emb).clone())
-            }
-            _ => None,
-        };
-        let parts: Vec<&Tensor> = [
-            graph_vals.as_ref(),
-            prep.codes.as_ref(),
-            prep.raw_vecs.as_ref(),
-            prep.summaries.as_ref(),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        let n = prep.kernels.len();
-        let width: usize = parts.iter().map(|t| t.cols()).sum();
-        let mut rows: Vec<f32> = Vec::with_capacity(n * width);
-        for r in 0..n {
-            for t in &parts {
-                rows.extend_from_slice(t.row_slice(r));
-            }
-        }
-        Tensor::from_vec(n, width, rows)
     }
 
     /// Number of trainable scalar parameters.

@@ -9,6 +9,7 @@
 //! layers, self-supervised. After pre-training, the encoder half produces
 //! the compressed code features that are late-fused with the GNN output.
 
+use mga_nn::infer;
 use mga_nn::layers::{Activation, Linear};
 use mga_nn::optim::AdamW;
 use mga_nn::scaler::GaussRankScaler;
@@ -153,10 +154,8 @@ pub fn pretrain(vectors: &[Vec<f32>], cfg: DaeConfig, rng: &mut StdRng) -> Train
     );
 
     let scaler = GaussRankScaler::fit(vectors, dim);
-    let mut scaled: Vec<Vec<f32>> = vectors.to_vec();
-    scaler.transform(&mut scaled);
-    let flat: Vec<f32> = scaled.iter().flatten().copied().collect();
-    let clean = Tensor::from_vec(vectors.len(), dim, flat);
+    let rows: Vec<&[f32]> = vectors.iter().map(Vec::as_slice).collect();
+    let clean = Tensor::from_vec(vectors.len(), dim, scaler.transform_rows(&rows));
 
     let mut params = ParamSet::new();
     let dae = Dae::new(&mut params, "dae", cfg, rng);
@@ -212,17 +211,23 @@ impl TrainedDae {
         })
     }
 
-    /// Encode raw (unscaled) vectors to code features.
-    pub fn encode_vectors(&self, vectors: &[Vec<f32>]) -> Tensor {
+    /// Encode raw (unscaled) vectors to code features, one row per
+    /// vector. Runs the encoder's two sigmoid layers through the
+    /// grad-free [`infer::fused_linear_into`] on the Gaussian-rank-scaled
+    /// rows: bitwise what [`Dae::encode`] computes on a tape, without
+    /// building one.
+    pub fn encode(&self, vectors: &[&[f32]]) -> Tensor {
         mga_obs::span!("dae.encode");
-        let mut scaled = vectors.to_vec();
-        self.scaler.transform(&mut scaled);
-        let flat: Vec<f32> = scaled.iter().flatten().copied().collect();
-        let x = Tensor::from_vec(vectors.len(), self.dae.cfg.input_dim, flat);
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x);
-        let code = self.dae.encode(&mut tape, &self.params, xv);
-        tape.value(code).clone()
+        let n = vectors.len();
+        let layer = |x: &[f32], l: &Linear| {
+            let mut out = vec![0.0; n * l.out_dim];
+            let (w, b) = (self.params.value(l.w), self.params.value(l.b));
+            infer::fused_linear_into(&mut out, x, n, w, b, FusedAct::Sigmoid);
+            out
+        };
+        let x = self.scaler.transform_rows(vectors);
+        let h = layer(&x, &self.dae.enc1);
+        Tensor::from_vec(n, self.dae.cfg.code_dim, layer(&h, &self.dae.enc2))
     }
 }
 
@@ -247,6 +252,59 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    fn rows(data: &[Vec<f32>]) -> Vec<&[f32]> {
+        data.iter().map(Vec::as_slice).collect()
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The grad-free encode is the tape's encoder over the same
+    /// Gaussian-rank-scaled rows, bit for bit, and row `r` of a
+    /// multi-row encode is the one-row encode of vector `r`.
+    #[test]
+    fn encode_matches_tape_encoder_bitwise() {
+        let data = synthetic(24, 16, 17);
+        let cfg = DaeConfig {
+            input_dim: 16,
+            hidden_dim: 12,
+            code_dim: 6,
+            epochs: 20,
+            ..DaeConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let trained = pretrain(&data, cfg, &mut rng);
+        for n in [1usize, 7] {
+            let vectors = rows(&data[..n]);
+            let got = trained.encode(&vectors);
+
+            let mut scaled = Vec::new();
+            for v in &vectors {
+                let mut row = v.to_vec();
+                trained.scaler.transform_row(&mut row);
+                scaled.extend(row);
+            }
+            let mut tape = Tape::new();
+            let x = tape.leaf(Tensor::from_vec(n, 16, scaled));
+            let code = trained.dae.encode(&mut tape, &trained.params, x);
+            assert_eq!(
+                bits(got.data()),
+                bits(tape.value(code).data()),
+                "{n} row(s) diverged from the tape encoder"
+            );
+
+            for (r, v) in vectors.iter().enumerate() {
+                let one = trained.encode(&[v]);
+                assert_eq!(
+                    bits(one.data()),
+                    bits(got.row_slice(r)),
+                    "row {r} of {n} differs from its one-row encode"
+                );
+            }
+        }
     }
 
     #[test]
@@ -322,7 +380,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(5);
         let trained = pretrain(&data, cfg, &mut rng);
-        let codes = trained.encode_vectors(&data);
+        let codes = trained.encode(&rows(&data));
         assert_eq!(codes.shape(), (32, 5));
         // Sigmoid code layer: all features in (0, 1).
         assert!(codes.data().iter().all(|&x| (0.0..=1.0).contains(&x)));
@@ -343,8 +401,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(6);
         let trained = pretrain(&data, cfg, &mut rng);
-        let a = trained.encode_vectors(&data);
-        let b = trained.encode_vectors(&data);
+        let a = trained.encode(&rows(&data));
+        let b = trained.encode(&rows(&data));
         assert_eq!(a, b);
     }
 
@@ -367,7 +425,7 @@ mod tests {
         for x in &mut perturbed {
             *x += 0.01;
         }
-        let codes = trained.encode_vectors(&[data[0].clone(), perturbed, data[32].clone()]);
+        let codes = trained.encode(&[&data[0], &perturbed, &data[32]]);
         let d01: f32 = codes
             .row_slice(0)
             .iter()

@@ -116,8 +116,8 @@ impl ProGraph {
     }
 
     /// Cached instruction-node index list: derived once, shared by every
-    /// [`GraphBatch`-style] packing of this graph. The node list must not
-    /// be mutated after the first call.
+    /// packing of this graph into a batch (`mga_gnn::GraphBatch`). The
+    /// node list must not be mutated after the first call.
     pub fn instruction_node_ids(&self) -> &[u32] {
         self.instr_nodes.get_or_init(|| {
             self.nodes

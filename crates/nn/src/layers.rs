@@ -1,5 +1,5 @@
-//! Neural-network layers: `Linear`, `Mlp`, and the `GruCell` used by
-//! gated graph networks.
+//! Neural-network layers: `Linear` and the `GruCell` used by gated graph
+//! networks.
 //!
 //! Layers own no tensors — they register parameters in a shared
 //! [`ParamSet`] and hold [`ParamId`]s, so one optimizer can drive an
@@ -11,7 +11,8 @@ use crate::params::{ParamId, ParamSet};
 use crate::tape::{FusedAct, Tape, Var};
 use rand::rngs::StdRng;
 
-/// Activation applied by [`Mlp`] hidden layers.
+/// Activation of a [`Linear`] layer: picks its initializer, and maps to
+/// the fused-kernel activation with [`Activation::fused`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     Relu,
@@ -80,62 +81,6 @@ impl Linear {
         let w = tape.param(ps, self.w);
         let b = tape.param(ps, self.b);
         tape.linear(x, w, b, act)
-    }
-}
-
-/// A multi-layer perceptron with uniform hidden activation and a linear
-/// output layer.
-pub struct Mlp {
-    pub layers: Vec<Linear>,
-    pub hidden_act: Activation,
-}
-
-impl Mlp {
-    /// `dims = [in, h1, ..., out]`; `hidden_act` is applied after every
-    /// layer except the last.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dims: &[usize],
-        hidden_act: Activation,
-        rng: &mut StdRng,
-    ) -> Mlp {
-        assert!(dims.len() >= 2, "MLP needs at least in/out dims");
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let act = if i + 2 == dims.len() {
-                    Activation::Identity
-                } else {
-                    hidden_act
-                };
-                Linear::new(ps, &format!("{name}.{i}"), w[0], w[1], act, rng)
-            })
-            .collect();
-        Mlp { layers, hidden_act }
-    }
-
-    pub fn forward(&self, tape: &mut Tape, ps: &ParamSet, x: Var) -> Var {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i != last {
-                self.hidden_act.fused()
-            } else {
-                FusedAct::Identity
-            };
-            h = layer.forward_act(tape, ps, h, act);
-        }
-        h
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.in_dim)
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.out_dim)
     }
 }
 
@@ -251,7 +196,12 @@ mod tests {
     fn mlp_learns_xor() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let mlp = Mlp::new(&mut ps, "xor", &[2, 8, 2], Activation::Tanh, &mut rng);
+        let hidden = Linear::new(&mut ps, "xor.0", 2, 8, Activation::Tanh, &mut rng);
+        let out = Linear::new(&mut ps, "xor.1", 8, 2, Activation::Identity, &mut rng);
+        let mlp = |tape: &mut Tape, ps: &ParamSet, x: Var| {
+            let h = hidden.forward_act(tape, ps, x, FusedAct::Tanh);
+            out.forward(tape, ps, h)
+        };
         let x = Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let targets = [0u32, 1, 1, 0];
         let mut opt = AdamW::new(0.05).with_weight_decay(0.0);
@@ -259,7 +209,7 @@ mod tests {
         for _ in 0..400 {
             let mut tape = Tape::new();
             let xv = tape.leaf(x.clone());
-            let logits = mlp.forward(&mut tape, &ps, xv);
+            let logits = mlp(&mut tape, &ps, xv);
             let loss = tape.softmax_cross_entropy(logits, &targets);
             final_loss = tape.value(loss).get(0, 0);
             tape.backward(loss);
@@ -270,7 +220,7 @@ mod tests {
         // Check predictions.
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
-        let logits = mlp.forward(&mut tape, &ps, xv);
+        let logits = mlp(&mut tape, &ps, xv);
         let out = tape.value(logits);
         for (i, &t) in targets.iter().enumerate() {
             let row = out.row_slice(i);

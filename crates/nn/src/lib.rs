@@ -24,10 +24,9 @@
 //! * [`ew`] — chunked elementwise kernels the tape's fused forward and
 //!   in-place backward passes are built from,
 //! * [`params`] — parameter storage shared between layers and optimizers,
-//! * [`layers`] — `Linear`, `Mlp` and the `GruCell` used by gated graph
+//! * [`layers`] — `Linear` and the `GruCell` used by gated graph
 //!   networks,
-//! * [`optim`] — SGD with momentum and the AdamW optimizer the paper
-//!   trains with,
+//! * [`optim`] — the AdamW optimizer the paper trains with,
 //! * [`init`] — seeded Xavier/Kaiming initializers, and
 //! * [`scaler`] — the Gaussian-rank scaler the paper applies before the
 //!   denoising autoencoder, plus min-max scaling for performance counters.

@@ -1,52 +1,10 @@
-//! Optimizers: SGD with momentum and AdamW.
+//! The AdamW optimizer.
 //!
 //! The paper trains every model with AdamW (Loshchilov & Hutter), which
-//! decouples weight decay from the adaptive moment update; SGD is kept as
-//! the simple baseline for tests and ablations.
+//! decouples weight decay from the adaptive moment update.
 
 use crate::params::ParamSet;
 use crate::tensor::Tensor;
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32, momentum: f32) -> Sgd {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update from the accumulated gradients, then zero them.
-    pub fn step(&mut self, ps: &mut ParamSet) {
-        if self.velocity.is_empty() {
-            self.velocity = ps
-                .ids()
-                .map(|id| Tensor::zeros(ps.value(id).rows(), ps.value(id).cols()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            ps.len(),
-            "optimizer/param-set mismatch"
-        );
-        for (k, id) in ps.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            let g = ps.grad(id).clone();
-            let v = &mut self.velocity[k];
-            v.scale_assign(self.momentum);
-            v.axpy(1.0, &g);
-            let v_step = v.clone();
-            ps.value_mut(id).axpy(-self.lr, &v_step);
-        }
-        ps.zero_grads();
-    }
-}
 
 /// A snapshot of [`AdamW`]'s mutable state (see [`AdamW::state`]).
 #[derive(Clone)]
@@ -163,8 +121,8 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    /// Minimize ||x W - y||² over W; both optimizers must reduce the loss
-    /// monotonically-ish and reach a small value.
+    /// Minimize ||x W - y||² over W with `step`; returns the first and
+    /// last losses.
     fn fit<F: FnMut(&mut ParamSet)>(mut step: F, ps: &mut ParamSet) -> (f32, f32) {
         let w = crate::params::ParamId(0);
         let x = Tensor::from_vec(4, 2, vec![1., 0., 0., 1., 1., 1., 2., -1.]);
@@ -187,18 +145,6 @@ mod tests {
             step(ps);
         }
         (first, last)
-    }
-
-    #[test]
-    fn sgd_converges_on_least_squares() {
-        let mut ps = ParamSet::new();
-        ps.add("w", Tensor::zeros(2, 1));
-        let mut opt = Sgd::new(0.05, 0.9);
-        let (first, last) = fit(|ps| opt.step(ps), &mut ps);
-        assert!(
-            last < first * 0.01,
-            "SGD failed to converge: {first} -> {last}"
-        );
     }
 
     #[test]
@@ -269,7 +215,7 @@ mod tests {
         let mut ps = ParamSet::new();
         let w = ps.add("w", Tensor::zeros(1, 1));
         ps.grad_mut(w).data_mut()[0] = 1.0;
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = AdamW::new(0.1);
         opt.step(&mut ps);
         assert_eq!(ps.grad(w).data()[0], 0.0);
     }

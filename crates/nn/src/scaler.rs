@@ -103,12 +103,16 @@ impl GaussRankScaler {
         }
     }
 
-    /// Transform a batch.
-    pub fn transform(&self, data: &mut [Vec<f32>]) {
-        mga_obs::span!("scaler.gaussrank.transform");
-        for row in data {
-            self.transform_row(row);
+    /// Transform `rows` into one row-major buffer of `rows.len()` ×
+    /// [`GaussRankScaler::dims`] values.
+    pub fn transform_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(rows.len() * self.dims());
+        for row in rows {
+            let at = out.len();
+            out.extend_from_slice(row);
+            self.transform_row(&mut out[at..]);
         }
+        out
     }
 
     pub fn dims(&self) -> usize {
@@ -246,9 +250,8 @@ mod tests {
         // Heavily skewed input.
         let data: Vec<Vec<f32>> = (0..101).map(|i| vec![(i as f32).exp2() % 977.0]).collect();
         let s = GaussRankScaler::fit(&data, 1);
-        let mut transformed = data.clone();
-        s.transform(&mut transformed);
-        let vals: Vec<f32> = transformed.iter().map(|r| r[0]).collect();
+        let rows: Vec<&[f32]> = data.iter().map(Vec::as_slice).collect();
+        let vals = s.transform_rows(&rows);
         let mean = vals.iter().sum::<f32>() / vals.len() as f32;
         let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
         assert!(mean.abs() < 0.2, "mean {mean} too far from 0");

@@ -330,22 +330,6 @@ impl Tape {
         self.finish(id, Op::Leaf { param: None })
     }
 
-    /// A constant/input leaf copied from a contiguous row range
-    /// `[lo, hi)` of a borrowed tensor — lets micro-batches feed
-    /// per-sample tables (aux features, targets) without materializing
-    /// the slice, with the same zero-allocation replay as
-    /// [`Tape::leaf_ref`].
-    pub fn leaf_rows(&mut self, value: &Tensor, lo: usize, hi: usize) -> Var {
-        assert!(lo <= hi && hi <= value.rows(), "leaf_rows out of range");
-        let cols = value.cols();
-        let id = self.begin(hi - lo, cols);
-        self.nodes[id]
-            .value
-            .data_mut()
-            .copy_from_slice(&value.data()[lo * cols..hi * cols]);
-        self.finish(id, Op::Leaf { param: None })
-    }
-
     /// An all-zeros leaf (recycles its buffer on replay).
     pub fn leaf_zeros(&mut self, rows: usize, cols: usize) -> Var {
         let id = self.begin(rows, cols);
@@ -1147,11 +1131,12 @@ impl Tape {
     }
 
     /// Flush gradients of parameter leaves into a per-micro-batch
-    /// [`GradShard`] instead of the shared set — the data-parallel
-    /// epoch's replica tapes each write their own shard concurrently,
-    /// then the shards tree-reduce into the `ParamSet` in a fixed order.
-    /// A parameter snapshotted by several leaves on one tape (GRU reuse)
-    /// accumulates within the shard exactly as it would in the set.
+    /// [`GradShard`](crate::params::GradShard) instead of the shared set —
+    /// the data-parallel epoch's replica tapes each write their own shard
+    /// concurrently, then the shards tree-reduce into the `ParamSet` in a
+    /// fixed order. A parameter snapshotted by several leaves on one tape
+    /// (GRU reuse) accumulates within the shard exactly as it would in the
+    /// set.
     pub fn accumulate_param_grads_shard(&self, shard: &mut crate::params::GradShard) {
         for node in &self.nodes[..self.live] {
             if let Op::Leaf { param: Some(id) } = node.op {

@@ -89,6 +89,24 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     }
 }
 
+/// [`gauge`] for a name built at run time: `name` is leaked to become
+/// the registry key only when it registers a new gauge, so asking again
+/// for a registered name leaks nothing and returns the same handle.
+pub fn gauge_owned(name: String) -> &'static Gauge {
+    let mut reg = lock_registry();
+    let key = match reg.get_key_value(name.as_str()) {
+        Some((&key, _)) => key,
+        None => Box::leak(name.into_boxed_str()),
+    };
+    match reg
+        .entry(key)
+        .or_insert_with(|| Metric::Gauge(Box::leak(Box::default())))
+    {
+        Metric::Gauge(g) => g,
+        _ => panic!("metric {key} already registered with a different type"),
+    }
+}
+
 /// Intern (or fetch) the log₂-bucketed histogram named `name` (see
 /// [`crate::hist`]): fixed power-of-two buckets over `u64` nanoseconds
 /// or counts, lock-free observe.
@@ -198,6 +216,25 @@ mod tests {
         assert!(snap
             .iter()
             .any(|(n, v)| *n == "test.counter" && *v == MetricValue::Counter(5)));
+    }
+
+    /// A run-time name registers once: asking again returns the same
+    /// handle and keeps the first key, so nothing more is leaked.
+    #[test]
+    fn owned_gauge_names_register_once() {
+        let key = || {
+            snapshot()
+                .into_iter()
+                .find(|(n, _)| *n == "test.owned.gauge")
+                .map(|(n, _)| n)
+                .expect("registered")
+        };
+        let a = gauge_owned(format!("test.owned.{}", "gauge"));
+        let first = key();
+        let b = gauge_owned(format!("test.owned.{}", "gauge"));
+        assert!(std::ptr::eq(a, b), "same handle by name");
+        assert!(std::ptr::eq(first, key()), "the first key is kept");
+        assert!(std::ptr::eq(a, gauge("test.owned.gauge")));
     }
 
     #[test]

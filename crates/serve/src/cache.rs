@@ -2,14 +2,17 @@
 
 use std::collections::HashMap;
 
-use mga_core::model::{FusionModel, PreparedBatch};
 use mga_obs::metrics::{self, Counter};
 
-/// Fixed-capacity cache of fused static-embedding rows, keyed by kernel
-/// id. Storage is one flat `capacity × dim` slab allocated up front;
-/// eviction is least-recently-used under a *logical* clock (bumped per
-/// lookup, never wall time), with ties broken by lowest slot index —
-/// fully deterministic, so serving runs replay exactly.
+/// Fixed-capacity cache of static-embedding rows, keyed by kernel id: a
+/// kernel's row is its static block of the trunk input, as
+/// [`mga_core::model::FusionModel::static_embeddings`] computes it. The
+/// cache only stores rows; the engine computes them on a miss and when
+/// it warms ([`crate::Engine::warm`]). Storage is one flat
+/// `capacity × dim` slab allocated up front; eviction is
+/// least-recently-used under a *logical* clock (bumped per lookup, never
+/// wall time), with ties broken by lowest slot index — fully
+/// deterministic, so serving runs replay exactly.
 ///
 /// Hits, misses and evictions are counted in the `mga-obs` registry
 /// (`serve.cache_hits` / `serve.cache_misses` / `serve.cache_evictions`)
@@ -156,25 +159,11 @@ impl EmbeddingCache {
     /// Drop every resident embedding (hot-swap install: the new model's
     /// GNN/DAE weights make cached rows stale). Keeps all storage and
     /// the lifetime counters; the next lookups repopulate via the slow
-    /// path or a fresh [`EmbeddingCache::warm`].
+    /// path or a fresh [`crate::Engine::warm`].
     pub fn clear(&mut self) {
         self.map.clear();
         self.slot_kernel.fill(FREE);
         self.slot_last_use.fill(0);
-    }
-
-    /// Warm the cache from preparation work already done: inserts one
-    /// row per distinct kernel of `prep`, computed by
-    /// [`FusionModel::static_embeddings_prepared`], and returns the
-    /// number of rows inserted. Every row is cacheable: a kernel's row
-    /// does not depend on the batch it was prepared in.
-    pub fn warm(&mut self, model: &FusionModel, prep: &PreparedBatch) -> usize {
-        let rows = model.static_embeddings_prepared(prep);
-        assert_eq!(rows.cols(), self.dim, "prepared embedding width mismatch");
-        for (r, &kernel) in prep.kernels().iter().enumerate() {
-            self.insert(kernel, rows.row_slice(r));
-        }
-        prep.kernels().len()
     }
 }
 

@@ -125,9 +125,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Interned per-shard gauges. Metric names are `&'static str`, so shard
-/// names are leaked once at construction — a few bytes per shard, cold
-/// path only.
+/// Interned per-shard gauges. Shard names are built at run time and
+/// leaked once per process by [`metrics::gauge_owned`] — a few bytes per
+/// shard, however many clusters the process builds.
 struct ShardMetrics {
     queue_depth: &'static Gauge,
     health: &'static Gauge,
@@ -136,13 +136,11 @@ struct ShardMetrics {
 
 impl ShardMetrics {
     fn new(shard: usize) -> ShardMetrics {
-        let name = |suffix: &str| -> &'static str {
-            Box::leak(format!("serve.shard.{shard}.{suffix}").into_boxed_str())
-        };
+        let gauge = |suffix: &str| metrics::gauge_owned(format!("serve.shard.{shard}.{suffix}"));
         ShardMetrics {
-            queue_depth: metrics::gauge(name("queue_depth")),
-            health: metrics::gauge(name("health")),
-            plan_epoch: metrics::gauge(name("plan_epoch")),
+            queue_depth: gauge("queue_depth"),
+            health: gauge("health"),
+            plan_epoch: gauge("plan_epoch"),
         }
     }
 }
@@ -703,14 +701,15 @@ impl<'a> Cluster<'a> {
         // Health probe: candidate embedding + zero aux through the
         // candidate plan; all activations must be finite and every head
         // must decide an in-range class.
-        let emb = candidate.static_embedding(&self.graphs[0], &self.vectors[0]);
+        let emb = candidate.static_embeddings(&[&self.graphs[0]], &[&self.vectors[0]]);
+        let emb = emb.row_slice(0);
         if emb.len() != plan.static_dim() || emb.iter().any(|v| !v.is_finite()) {
             return Err(SwapError::Probe {
                 detail: "non-finite or mis-sized probe embedding".into(),
             });
         }
         let mut x = vec![0.0f32; plan.in_dim()];
-        x[..emb.len()].copy_from_slice(&emb);
+        x[..emb.len()].copy_from_slice(emb);
         let zero_aux = vec![0.0f32; plan.in_dim() - plan.static_dim()];
         plan.scale_aux_into(&mut x[plan.static_dim()..], &zero_aux);
         let mut h = vec![0.0f32; plan.hidden()];

@@ -384,10 +384,20 @@ impl<'a> Engine<'a> {
         &self.drift
     }
 
-    /// Warm the cache from a training-side [`PreparedBatch`]; see
-    /// [`EmbeddingCache::warm`].
+    /// Warm the cache with the static embedding of every distinct kernel
+    /// of `prep`, computed from this engine's catalog in one
+    /// [`FusionModel::static_embeddings`] pass, and return how many rows
+    /// were inserted. Every row is cacheable: a kernel's row does not
+    /// depend on the kernels it is computed with.
     pub fn warm(&mut self, prep: &PreparedBatch) -> usize {
-        self.cache.warm(self.model, prep)
+        let kernels = prep.kernels();
+        let graphs: Vec<&ProGraph> = kernels.iter().map(|&k| &self.graphs[k]).collect();
+        let vectors: Vec<&[f32]> = kernels.iter().map(|&k| &self.vectors[k][..]).collect();
+        let rows = self.model.static_embeddings(&graphs, &vectors);
+        for (r, &kernel) in kernels.iter().enumerate() {
+            self.cache.insert(kernel, rows.row_slice(r));
+        }
+        kernels.len()
     }
 
     /// Enqueue a request at the current tick. Typed refusals, never a
@@ -581,16 +591,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Ensure `kernel`'s static embedding is resident, taking the slow
-    /// path (full GNN + DAE + scaler pass on the catalog entry) on a
-    /// miss. Returns whether the lookup hit.
+    /// path ([`FusionModel::static_embeddings`] over the catalog entry:
+    /// GNN, DAE and scalers) on a miss. Returns whether the lookup hit.
     fn ensure_static(&mut self, kernel: usize) -> bool {
         if self.cache.lookup(kernel).is_some() {
             return true;
         }
         let emb = self
             .model
-            .static_embedding(&self.graphs[kernel], &self.vectors[kernel]);
-        self.cache.insert(kernel, &emb);
+            .static_embeddings(&[&self.graphs[kernel]], &[&self.vectors[kernel]]);
+        self.cache.insert(kernel, emb.row_slice(0));
         false
     }
 

@@ -686,8 +686,7 @@ fn cluster_steady_state_allocates_nothing_and_gauges_publish() {
     }
     cluster.publish_metrics();
     let gauge = |s: usize, suffix: &str| {
-        let name: &'static str = Box::leak(format!("serve.shard.{s}.{suffix}").into_boxed_str());
-        mga_obs::metrics::gauge(name).get()
+        mga_obs::metrics::gauge_owned(format!("serve.shard.{s}.{suffix}")).get()
     };
     let mut queued = 0.0;
     for s in 0..cluster.shards() {

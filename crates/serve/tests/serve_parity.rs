@@ -307,6 +307,68 @@ fn evicting_cache_stays_correct() {
     assert!(evictions > 0, "a 2-slot cache over many kernels must evict");
 }
 
+/// Every modality serves the classes `predict` gives: each of the five
+/// fits a small model, and every sample is served through a cold engine
+/// whose cache is smaller than the catalog (batched, evicting) and
+/// through a warmed one (every lookup a hit). This runs each static
+/// block layout — graph readout, DAE code, raw vector, graph summary,
+/// none — through the serving cache.
+#[test]
+fn every_modality_serves_like_predict() {
+    let c = ctx();
+    let data = train_data(c);
+    let idx: Vec<usize> = (0..c.ds.samples.len()).collect();
+    let kernels = data.graphs.len();
+    for modality in [
+        Modality::Multimodal,
+        Modality::GraphOnly,
+        Modality::VectorOnly,
+        Modality::AuxOnly,
+        Modality::EarlyFusion,
+    ] {
+        let cfg = ModelConfig {
+            modality,
+            epochs: 3,
+            ..c.model.cfg.clone()
+        };
+        let model = FusionModel::fit(cfg, &data, &idx, &c.task.codec.head_sizes());
+        let want = model.predict(&data, &idx);
+        let expected = |j: usize| -> Vec<usize> { want.iter().map(|head| head[j]).collect() };
+
+        let cold_cfg = ServeConfig {
+            max_batch: 4,
+            max_wait_ticks: 1,
+            cache_capacity: kernels / 2,
+            ..ServeConfig::default()
+        };
+        let mut cold = Engine::new(&model, data.graphs, data.vectors, cold_cfg);
+        let mut rng = StdRng::seed_from_u64(7);
+        let responses = serve_all(&mut cold, &data, &idx, &mut rng);
+        assert_eq!(responses.len(), idx.len());
+        for (r, j) in responses.iter().zip(0..) {
+            assert_eq!(r.classes, expected(j), "{modality:?} cold: sample {j}");
+        }
+        assert!(
+            cold.cache().stats().2 > 0,
+            "{modality:?}: the cold cache must evict"
+        );
+
+        let mut warm = Engine::new(&model, data.graphs, data.vectors, ServeConfig::default());
+        warm.warm(&model.prepare(&data, &idx));
+        let mut cls = vec![0usize; warm.plan().num_heads()];
+        for (j, &i) in idx.iter().enumerate() {
+            warm.serve_one(data.sample_kernel[i], &data.aux[i], &mut cls)
+                .expect("serve");
+            assert_eq!(cls, expected(j), "{modality:?} warm: sample {i}");
+        }
+        assert_eq!(
+            warm.cache().stats().1,
+            0,
+            "{modality:?}: a warmed engine never misses"
+        );
+    }
+}
+
 /// The logical-tick batching policy is deterministic: a full batch goes
 /// out on the next tick, a partial batch waits exactly `max_wait_ticks`.
 #[test]
