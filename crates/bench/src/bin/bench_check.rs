@@ -5,7 +5,8 @@
 //! Usage: `bench_check BASELINE CURRENT [--max-regression PCT] [--gate NAMES]`.
 //!
 //! Both files are `bench_report`/`serve_bench` output (one `{name,
-//! iters, ns_per_iter}` record per line). By default only the training
+//! iters, ns_per_iter}` record per line; other keys on a line, such as
+//! the machine shape, are ignored). By default only the training
 //! steady-state hot paths are gated — `train_epoch` and
 //! `inference_one_sample` — because the other entries (fold
 //! preparation, whole-fold inference) are dominated by one-off work too
@@ -19,9 +20,14 @@
 
 const GATED: [&str; 2] = ["train_epoch", "inference_one_sample"];
 
-/// Extract `name → ns_per_iter` from bench_report JSONL.
+/// Extract `name → ns_per_iter` from the bench_report JSONL at `path`.
 fn read_report(path: &str) -> Result<Vec<(String, f64)>, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse_report(path, &body)
+}
+
+/// Extract `name → ns_per_iter` from bench_report JSONL read from `path`.
+fn parse_report(path: &str, body: &str) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
     for (i, line) in body.lines().enumerate() {
         if line.trim().is_empty() {
@@ -126,5 +132,23 @@ fn main() {
             max_regression * 100.0
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A line stamped with the machine shape reads like one without it.
+    #[test]
+    fn reads_records_that_carry_the_machine_shape() {
+        let stamped = mga_bench::bench_record("matmul_pair_ratio", 1, 688.0);
+        assert!(stamped.contains("\"simd\"") && stamped.contains("\"nproc\""));
+        let body = format!(
+            "{{\"name\": \"train_epoch\", \"iters\": 48, \"ns_per_iter\": 10289963.0}}\n{stamped}\n"
+        );
+        let report = parse_report("BENCH_train.json", &body).expect("both lines parse");
+        assert_eq!(lookup(&report, "train_epoch"), Some(10289963.0));
+        assert_eq!(lookup(&report, "matmul_pair_ratio"), Some(688.0));
     }
 }

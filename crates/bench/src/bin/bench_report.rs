@@ -1,7 +1,8 @@
 //! Machine-readable performance snapshot: times one training epoch and
 //! end-to-end inference for the Figure-4 configuration and writes
-//! `BENCH_train.json` (one `{name, iters, ns_per_iter}` record per line)
-//! so successive PRs can chart the perf trajectory on the same machine.
+//! `BENCH_train.json` (one `{name, iters, ns_per_iter}` record per line,
+//! stamped with the machine shape by [`mga_bench::bench_record`]) so
+//! successive PRs can chart the perf trajectory on the same machine.
 //!
 //! Usage: `cargo run --release --bin bench_report [--quick] [--seed N]`.
 //! Pass `MGA_THREADS=1` to snapshot the sequential baseline.
@@ -18,11 +19,21 @@
 //!
 //! `matmul_trio_n12` and `matmul_trio_n16` time the three GNN matmul
 //! kernels — zero-skip `X·W`, dense `G·Wᵀ` and `Xᵀ·G` — on 512 rows at
-//! widths 12 (the model's width: one full strip and a 4-column tail)
-//! and 16 (two full strips). `matmul_tail_ratio` is n12/n16 in
-//! per-mille: another within-run ratio, it gates the column-tail
-//! kernels, which no absolute record here can see. Like every kernel,
-//! the trios run on the calling thread at any `MGA_THREADS`.
+//! widths 12 (the model's width: 12-wide rows run in pairs, 24
+//! contiguous floats in three vectors) and 16 (one full 16-column
+//! strip), with a quarter of `X` and `G` exact zeros. `matmul_tail_ratio`
+//! is n12/n16 in per-mille: another within-run ratio, it gates the
+//! narrow-width kernels, which no absolute record here can see. With
+//! that many zeros nearly every tile of `X·W` and `Xᵀ·G` holds one and
+//! takes the skipping path, so `matmul_trio_zero_free_n12` and `_n11`
+//! time the same trio on zero-free operands, where every tile runs
+//! without the skip, at 92 rows: the per-replica shape of the GNN's
+//! products in a training epoch, small enough to stay in L1. Width 11
+//! runs each row as a 16-lane strip with a masked last vector, the
+//! tiling width 12 gets without row pairs, so `matmul_pair_ratio`,
+//! their n12/n11, gates the row-pair tiles: it reads about 830–910 ‰
+//! with them and 935–985 ‰ without. Like every kernel, the trios run
+//! on the calling thread at any `MGA_THREADS`.
 //!
 //! `gate_act_trio` times the GRU's three gate activations — the
 //! Sigmoid, Sigmoid and Tanh bias+activation passes — over a 512×12
@@ -32,7 +43,7 @@
 //! vectorizing (a libm call, a row-bound loop) reads several times the
 //! committed ratio.
 
-use mga_bench::{finish_run, manifest, model_cfg, parse_opts, thread_dataset};
+use mga_bench::{bench_record, finish_run, manifest, model_cfg, parse_opts, thread_dataset};
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{batch_targets, FusionModel, Modality};
 use mga_core::omp::OmpTask;
@@ -75,25 +86,23 @@ fn time_each(entries: &mut [(&str, &mut dyn FnMut())], records: &mut Vec<String>
             let ns = s[s.len() / 2];
             let iters = s.len();
             println!("{name:<28} {ns:>16.1} ns/iter  ({iters} iters)");
-            records.push(format!(
-                "{{\"name\": \"{name}\", \"iters\": {iters}, \"ns_per_iter\": {ns:.1}}}"
-            ));
+            records.push(bench_record(name, iters as u64, ns));
             ns
         })
         .collect()
 }
 
-/// One trio of width-`w` GNN products over 512 rows, as a closure: the
-/// forward `X·W` (zero-skip), the backward `G·Wᵀ` against a
-/// pre-transposed weight (dense) and the weight gradient `Xᵀ·G`.
-fn matmul_trio(w: usize) -> impl FnMut() {
-    const ROWS: usize = 512;
+/// One trio of width-`w` GNN products over `rows` rows, as a closure:
+/// the forward `X·W` (zero-skip), the backward `G·Wᵀ` against a
+/// pre-transposed weight (dense) and the weight gradient `Xᵀ·G`. Each
+/// element of `X`, `G` and `W` is an exact zero with probability
+/// `zero_p`, and otherwise uniform in [−1, 1).
+fn matmul_trio(w: usize, rows: usize, zero_p: f64) -> impl FnMut() {
     let mut rng = StdRng::seed_from_u64(w as u64);
     let mut data = |len: usize| -> Vec<f32> {
         (0..len)
             .map(|_| {
-                // A quarter exact zeros, so the zero-skip branch is live.
-                if rng.gen_bool(0.25) {
+                if rng.gen_bool(zero_p) {
                     0.0
                 } else {
                     rng.gen_range(-1.0f32..1.0)
@@ -101,19 +110,23 @@ fn matmul_trio(w: usize) -> impl FnMut() {
             })
             .collect()
     };
-    let x = data(ROWS * w);
-    let g = data(ROWS * w);
+    let x = data(rows * w);
+    let g = data(rows * w);
     let weight = data(w * w);
-    let mut y = vec![0.0f32; ROWS * w];
-    let mut gx = vec![0.0f32; ROWS * w];
+    assert!(
+        zero_p > 0.0 || [&x, &g].iter().all(|d| !d.contains(&0.0)),
+        "a zero-free trio drew an exact zero"
+    );
+    let mut y = vec![0.0f32; rows * w];
+    let mut gx = vec![0.0f32; rows * w];
     let mut gw = vec![0.0f32; w * w];
     move || {
         y.fill(0.0);
         gx.fill(0.0);
         gw.fill(0.0);
-        matmul_into(&mut y, &x, ROWS, w, &weight, w);
-        matmul_dense_into(&mut gx, &g, ROWS, w, &weight, w);
-        t_matmul_into(&mut gw, &x, ROWS, w, &g, w);
+        matmul_into(&mut y, &x, rows, w, &weight, w);
+        matmul_dense_into(&mut gx, &g, rows, w, &weight, w);
+        t_matmul_into(&mut gw, &x, rows, w, &g, w);
         std::hint::black_box((&y, &gx, &gw));
     }
 }
@@ -241,9 +254,7 @@ fn main() {
             Some(ns) => {
                 let name = format!("train_epoch_threads_{threads}");
                 println!("{name:<28} {ns:>16.1} ns/iter  (probe)");
-                records.push(format!(
-                    "{{\"name\": \"{name}\", \"iters\": 1, \"ns_per_iter\": {ns:.1}}}"
-                ));
+                records.push(bench_record(&name, 1, ns));
                 man.set_float(&format!("{name}_ns"), ns);
                 per_thread.push((threads, ns));
             }
@@ -256,38 +267,43 @@ fn main() {
         if t1 > 0.0 {
             let ratio = (t4 / t1 * 1000.0).round();
             println!("{:<28} {ratio:>16.1} per-mille (4t/1t)", "train_scaling_4x");
-            records.push(format!(
-                "{{\"name\": \"train_scaling_4x\", \"iters\": 1, \"ns_per_iter\": {ratio:.1}}}"
-            ));
+            records.push(bench_record("train_scaling_4x", 1, ratio));
             man.set_float("train_scaling_4x_permille", ratio);
         }
     }
 
-    let (mut n12, mut n16, mut act) = (matmul_trio(12), matmul_trio(16), gate_act_trio());
+    let (mut n12, mut n16) = (matmul_trio(12, 512, 0.25), matmul_trio(16, 512, 0.25));
+    let (mut free12, mut free11) = (matmul_trio(12, 92, 0.0), matmul_trio(11, 92, 0.0));
+    let mut act = gate_act_trio();
     let trios = time_each(
         &mut [
             ("matmul_trio_n12", &mut n12),
             ("matmul_trio_n16", &mut n16),
+            ("matmul_trio_zero_free_n12", &mut free12),
+            ("matmul_trio_zero_free_n11", &mut free11),
             ("gate_act_trio", &mut act),
         ],
         &mut records,
     );
-    let (n12, n16, act) = (trios[0], trios[1], trios[2]);
+    let (n12, n16, free12, free11, act) = (trios[0], trios[1], trios[2], trios[3], trios[4]);
     let tail_ratio = (n12 / n16 * 1000.0).round();
+    let pair_ratio = (free12 / free11 * 1000.0).round();
     let act_ratio = (act / n12 * 1000.0).round();
     for (name, ratio, of) in [
         ("matmul_tail_ratio", tail_ratio, "n12/n16"),
+        ("matmul_pair_ratio", pair_ratio, "zero-free n12/n11"),
         ("act_ratio", act_ratio, "act/n12"),
     ] {
         println!("{name:<28} {ratio:>16.1} per-mille ({of})");
-        records.push(format!(
-            "{{\"name\": \"{name}\", \"iters\": 1, \"ns_per_iter\": {ratio:.1}}}"
-        ));
+        records.push(bench_record(name, 1, ratio));
     }
     man.set_float("matmul_trio_n12_ns", n12)
         .set_float("matmul_trio_n16_ns", n16)
+        .set_float("matmul_trio_zero_free_n12_ns", free12)
+        .set_float("matmul_trio_zero_free_n11_ns", free11)
         .set_float("gate_act_trio_ns", act)
         .set_float("matmul_tail_ratio_permille", tail_ratio)
+        .set_float("matmul_pair_ratio_permille", pair_ratio)
         .set_float("act_ratio_permille", act_ratio);
 
     let path = "BENCH_train.json";

@@ -1,14 +1,16 @@
 //! Serving performance snapshot: times the `mga-serve` engine on the
 //! Figure-4 configuration and writes `BENCH_serve.json` (one `{name,
-//! iters, ns_per_iter}` record per line, same schema as
-//! `BENCH_train.json`) so `bench_check` can gate serving regressions.
+//! iters, ns_per_iter}` record per line, stamped with the machine shape
+//! by [`mga_bench::bench_record`], as in `BENCH_train.json`) so
+//! `bench_check` can gate serving regressions.
 //!
 //! Records:
 //! * `serve_one_request` — the synchronous single-request fast path
 //!   (cached static embedding + scaler + trunk/heads), the successor to
 //!   `inference_one_sample` for deployment latency;
 //! * `serve_throughput` — ns per request through the batched engine on
-//!   a steady request stream (the record carries `requests_per_sec` too);
+//!   a steady request stream (the run manifest records
+//!   `requests_per_sec` too);
 //! * `serve_p50` / `serve_p95` / `serve_p99` — per-request wall latency
 //!   percentiles over that stream, measured by this driver (the engine
 //!   never reads a clock on a batching-decision path; batching stays
@@ -32,7 +34,8 @@
 //! Usage: `cargo run --release --bin serve_bench [--quick] [--seed N]`.
 
 use mga_bench::{
-    exit_on_error, finish_run, manifest, model_cfg, parse_opts, thread_dataset, BenchError,
+    bench_record, exit_on_error, finish_run, manifest, model_cfg, parse_opts, thread_dataset,
+    BenchError,
 };
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{FusionModel, Modality, TrainData};
@@ -58,9 +61,7 @@ fn time(name: &str, records: &mut Vec<String>, mut f: impl FnMut()) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     let ns = samples[samples.len() / 2];
     println!("{name:<28} {ns:>16.1} ns/iter  ({iters} iters)");
-    records.push(format!(
-        "{{\"name\": \"{name}\", \"iters\": {iters}, \"ns_per_iter\": {ns:.1}}}"
-    ));
+    records.push(bench_record(name, iters, ns));
     ns
 }
 
@@ -246,9 +247,7 @@ fn run() -> Result<(), BenchError> {
         "{:<28} {thr_ns:>16.1} ns/iter  ({sessions} sessions, {rps:.0} req/s)",
         "serve_throughput"
     );
-    records.push(format!(
-        "{{\"name\": \"serve_throughput\", \"iters\": {sessions}, \"ns_per_iter\": {thr_ns:.1}, \"requests_per_sec\": {rps:.1}}}"
-    ));
+    records.push(bench_record("serve_throughput", sessions, thr_ns));
 
     // Tail percentiles are dominated by OS jitter in any single session,
     // so each percentile is the *median over several sessions* — stable
@@ -283,9 +282,7 @@ fn run() -> Result<(), BenchError> {
         println!(
             "{name:<28} {ns:>16.1} ns/iter  ({n_requests} requests x {LAT_SESSIONS} sessions)"
         );
-        records.push(format!(
-            "{{\"name\": \"{name}\", \"iters\": {n_requests}, \"ns_per_iter\": {ns:.1}}}"
-        ));
+        records.push(bench_record(name, n_requests as u64, ns));
     }
 
     // Engine-side percentiles from the in-engine e2e histogram over the
@@ -313,9 +310,7 @@ fn run() -> Result<(), BenchError> {
         ("serve_p99_engine", p99_eng),
     ] {
         println!("{name:<28} {ns:>16.1} ns/iter  (engine-side histogram)");
-        records.push(format!(
-            "{{\"name\": \"{name}\", \"iters\": {expected}, \"ns_per_iter\": {ns:.1}}}"
-        ));
+        records.push(bench_record(name, expected, ns));
     }
     let ratio = p99.max(p99_eng) / p99.min(p99_eng).max(1.0);
     println!("p99 agreement: driver {p99:.0} ns vs engine {p99_eng:.0} ns ({ratio:.2}x)");
@@ -409,10 +404,7 @@ fn run() -> Result<(), BenchError> {
             samples.len(),
             1e9 / ns
         );
-        records.push(format!(
-            "{{\"name\": \"{name}\", \"iters\": {}, \"ns_per_iter\": {ns:.1}}}",
-            samples.len()
-        ));
+        records.push(bench_record(&name, samples.len() as u64, ns));
         man.set_float(&format!("cluster_throughput_shards{shards}_ns"), ns);
         shard_ns.push(ns);
         if shards == 8 {
@@ -425,9 +417,7 @@ fn run() -> Result<(), BenchError> {
         "cluster_scaling_8x",
         shard_ns[0] / shard_ns[3]
     );
-    records.push(format!(
-        "{{\"name\": \"cluster_scaling_8x\", \"iters\": 1, \"ns_per_iter\": {scaling_milli:.1}}}"
-    ));
+    records.push(bench_record("cluster_scaling_8x", 1, scaling_milli));
     man.set_float("cluster_speedup_8x", shard_ns[0] / shard_ns[3]);
 
     // ── Offered-load sweep: arrivals from 0.25× to 2× the 4-shard
@@ -511,8 +501,10 @@ fn run() -> Result<(), BenchError> {
                 "cluster_load_{tag}            offered {offered_per_tick:>3}/tick  \
                  shed {shed_permille:>6.1}‰  {ns_per_served:>12.1} ns/served",
             );
-            records.push(format!(
-                "{{\"name\": \"cluster_shed_rate_{tag}\", \"iters\": {offered_total}, \"ns_per_iter\": {shed_permille:.1}}}"
+            records.push(bench_record(
+                &format!("cluster_shed_rate_{tag}"),
+                offered_total,
+                shed_permille,
             ));
             man.set_float(&format!("cluster_shed_permille_{tag}"), shed_permille);
             if load_milli == 2000 {
@@ -535,8 +527,10 @@ fn run() -> Result<(), BenchError> {
             "{:<28} {saturated_ns:>16.1} ns/iter  (per served request at 2x offered load)",
             "cluster_saturation_throughput"
         );
-        records.push(format!(
-            "{{\"name\": \"cluster_saturation_throughput\", \"iters\": 1, \"ns_per_iter\": {saturated_ns:.1}}}"
+        records.push(bench_record(
+            "cluster_saturation_throughput",
+            1,
+            saturated_ns,
         ));
         man.set_float("cluster_saturation_throughput_ns", saturated_ns);
     }

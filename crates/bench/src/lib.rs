@@ -101,24 +101,45 @@ pub fn parse_opts() -> RunOpts {
     RunOpts { quick, seed, quiet }
 }
 
-/// Start a run manifest for experiment `name`, pre-stamped with the
-/// shared run parameters (seed, quick/full) and the machine shape: pool
-/// thread count (`MGA_THREADS`), available cores and the active SIMD
-/// backend.
-pub fn manifest(name: &str, opts: RunOpts) -> mga_obs::manifest::RunManifest {
+/// The machine shape a run's numbers depend on: available cores, the
+/// active SIMD backend (`"avx2"` or `"scalar"`) and the pool's thread
+/// count (`MGA_THREADS`).
+fn machine_shape() -> (usize, &'static str, usize) {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let simd = if mga_nn::simd::simd_enabled() {
         "avx2"
     } else {
         "scalar"
     };
+    (nproc, simd, mga_nn::pool::num_threads())
+}
+
+/// Start a run manifest for experiment `name`, pre-stamped with the
+/// shared run parameters (seed, quick/full) and the machine shape: pool
+/// thread count (`MGA_THREADS`), available cores and the active SIMD
+/// backend.
+pub fn manifest(name: &str, opts: RunOpts) -> mga_obs::manifest::RunManifest {
+    let (nproc, simd, threads) = machine_shape();
     let mut m = mga_obs::manifest::RunManifest::new(name);
     m.set_int("seed", opts.seed as i64)
         .set_bool("quick", opts.quick)
-        .set_int("threads", mga_nn::pool::num_threads() as i64)
+        .set_int("threads", threads as i64)
         .set_int("nproc", nproc as i64)
         .set_str("simd", simd);
     m
+}
+
+/// One `BENCH_*.json` record line: `{name, iters, ns_per_iter}`, then the
+/// machine shape that measured it, as in [`manifest`]: `nproc`, `simd`
+/// and `threads`. A within-run ratio is a record too, its per-mille value
+/// in `ns_per_iter`. `bench_check` reads `name` and `ns_per_iter` and
+/// ignores the other keys.
+pub fn bench_record(name: &str, iters: u64, ns_per_iter: f64) -> String {
+    let (nproc, simd, threads) = machine_shape();
+    format!(
+        "{{\"name\": \"{name}\", \"iters\": {iters}, \"ns_per_iter\": {ns_per_iter:.1}, \
+         \"nproc\": {nproc}, \"simd\": \"{simd}\", \"threads\": {threads}}}"
+    )
 }
 
 /// Finish an experiment run: stamp the pool's job and chunk totals into

@@ -13,6 +13,10 @@
 //!   those three panels with non-finite values in the tail and a
 //!   sentinel guard past the output, so the masked last strip can
 //!   neither diverge nor write out of bounds;
+//! * a second sweep checks the per-tile zero test and the row-pair tiles
+//!   of widths 4 and 12 with operands that make a missed or misplaced
+//!   zero visible: ±∞ and NaN in `b` where `a` is zero, or a −0.0
+//!   output;
 //! * a subprocess test re-runs a kernel + training battery under every
 //!   `MGA_SIMD` × `MGA_THREADS` combination and compares checksums with
 //!   the parent (the backend is latched once per process, so the kill
@@ -204,6 +208,146 @@ fn every_tail_width_matches_scalar_bitwise() {
                 let s = run_guarded(&case, &out, |o| simd::scalar_t_panel(o, &a, &b, k, m, n));
                 let v = run_guarded(&case, &out, |o| simd::avx2_t_panel(o, &a, &b, k, m, n));
                 assert_eq!(s, v, "{case} diverged");
+            }
+        }
+    }
+}
+
+/// Where the zero-test sweep puts exact zeros among the terms of `a`,
+/// indexed by output row and k step.
+#[derive(Clone, Copy, Debug)]
+enum Zeros {
+    /// None, so every tile runs without the skip.
+    Free,
+    /// Every third output row is all +0.0: whole zero rows of the
+    /// `a×b` operand, as for a node with no in-edge.
+    WholeRows,
+    /// Every third k step is +0.0 in every output row: whole zero rows
+    /// of the `aᵀ×b` operand.
+    WholeSteps,
+    /// One +0.0 in one row of a pair: rows 1 and 4 at one k step each.
+    OneInPair,
+    /// −0.0: all of row 2, and one term of row 5.
+    NegZero,
+}
+
+/// The terms `t[i][kk]` of `m` output rows over `k` steps for one
+/// [`Zeros`] case; every term not placed as a zero is nonzero.
+fn zero_case_terms(rng: &mut StdRng, m: usize, k: usize, zeros: Zeros) -> Vec<f32> {
+    let mut t: Vec<f32> = (0..m * k)
+        .map(|_| rng.gen_range(0.25f32..2.0) * if rng.gen_bool(0.5) { -1.0 } else { 1.0 })
+        .collect();
+    let mut put = |i: usize, kk: usize, v: f32| {
+        if i < m && kk < k {
+            t[i * k + kk] = v;
+        }
+    };
+    for i in 0..m {
+        for kk in 0..k {
+            match zeros {
+                Zeros::WholeRows if i % 3 == 1 => put(i, kk, 0.0),
+                Zeros::WholeSteps if kk % 3 == 1 => put(i, kk, 0.0),
+                Zeros::NegZero if i == 2 => put(i, kk, -0.0),
+                _ => {}
+            }
+        }
+    }
+    match zeros {
+        Zeros::OneInPair => {
+            put(1, k / 2, 0.0);
+            put(4, k.saturating_sub(1), 0.0);
+        }
+        Zeros::NegZero => put(5, k / 3, -0.0),
+        _ => {}
+    }
+    t
+}
+
+/// The per-tile zero test and the row-pair tiles, deterministically.
+/// Widths 4 and 12 run in row pairs, 11, 13, 16 and 20 in strips; m
+/// (and `aᵀ×b`'s acols) 1..=9 covers every pair and 4-row remainder.
+/// Adding `0·b` to a nonzero accumulator changes no bit, so a zero test
+/// that read the wrong rows could pass random operands. Here each case
+/// either puts ±∞ or NaN in the rows of `b` at the k steps where a term
+/// is zero, so a zero term that is not skipped turns its outputs into
+/// NaN, or starts the output at −0.0 with a finite `b`, so it turns
+/// them into +0.0. The three panels must match scalar bits (NaN
+/// payloads aside), and a sentinel past the output must survive.
+#[test]
+fn zero_tests_and_row_pairs_match_scalar_bitwise() {
+    if !simd::avx2_available() {
+        return;
+    }
+    const SPECIALS: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let cases = [
+        Zeros::Free,
+        Zeros::WholeRows,
+        Zeros::WholeSteps,
+        Zeros::OneInPair,
+        Zeros::NegZero,
+    ];
+    let mut rng = StdRng::seed_from_u64(0x2e50);
+    for n in [4usize, 11, 12, 13, 16, 20] {
+        for m in 1..=9usize {
+            for k in [0usize, 1, 12, 17] {
+                for zeros in cases {
+                    for neg_zero_out in [false, true] {
+                        let t = zero_case_terms(&mut rng, m, k, zeros);
+                        // The same terms as an `aᵀ×b` operand: k rows of m.
+                        let mut t_cols = vec![0.0f32; k * m];
+                        for i in 0..m {
+                            for kk in 0..k {
+                                t_cols[kk * m + i] = t[i * k + kk];
+                            }
+                        }
+                        let mut b = rand_data(&mut rng, k * n, 0.0);
+                        let out = if neg_zero_out {
+                            vec![-0.0f32; m * n]
+                        } else {
+                            for (kk, brow) in b.chunks_exact_mut(n).enumerate() {
+                                if (0..m).any(|i| t[i * k + kk] == 0.0) {
+                                    for (j, v) in brow.iter_mut().enumerate() {
+                                        *v = SPECIALS[(kk + j) % 3];
+                                    }
+                                }
+                            }
+                            rand_data(&mut rng, m * n, 0.0)
+                        };
+
+                        let case = format!(
+                            "zero-skip matmul n={n} m={m} k={k} {zeros:?} -0 out {neg_zero_out}"
+                        );
+                        let s = run_guarded(&case, &out, |o| {
+                            simd::scalar_matmul_panel(o, &t, m, k, &b, n)
+                        });
+                        let v = run_guarded(&case, &out, |o| {
+                            simd::avx2_matmul_panel(o, &t, m, k, &b, n)
+                        });
+                        assert_eq!(s, v, "{case} diverged");
+
+                        let case = format!(
+                            "dense matmul n={n} m={m} k={k} {zeros:?} -0 out {neg_zero_out}"
+                        );
+                        let s = run_guarded(&case, &out, |o| {
+                            simd::scalar_dense_panel(o, &t, m, k, &b, n)
+                        });
+                        let v = run_guarded(&case, &out, |o| {
+                            simd::avx2_dense_panel(o, &t, m, k, &b, n)
+                        });
+                        assert_eq!(s, v, "{case} diverged");
+
+                        let case = format!(
+                            "t_panel n={n} acols={m} rows={k} {zeros:?} -0 out {neg_zero_out}"
+                        );
+                        let s = run_guarded(&case, &out, |o| {
+                            simd::scalar_t_panel(o, &t_cols, &b, k, m, n)
+                        });
+                        let v = run_guarded(&case, &out, |o| {
+                            simd::avx2_t_panel(o, &t_cols, &b, k, m, n)
+                        });
+                        assert_eq!(s, v, "{case} diverged");
+                    }
+                }
             }
         }
     }
