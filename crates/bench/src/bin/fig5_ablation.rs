@@ -64,6 +64,19 @@ fn main() {
     let dyn_only = results[6].1;
     println!(
         "\nMGA: both {both:.2}x vs static-only {static_only:.2}x vs dynamic-only {dyn_only:.2}x \
-         (paper: 3.9x / 2.8x / 2.1x — both features matter)"
+         (paper: 3.9x / 2.8x / 2.1x)"
+    );
+    let (single_name, single) = if static_only >= dyn_only {
+        ("static-only", static_only)
+    } else {
+        ("dynamic-only", dyn_only)
+    };
+    println!(
+        "static+dynamic {} the better single modality, {single_name} ({both:.3}x vs {single:.3}x)",
+        if both > single {
+            "beats"
+        } else {
+            "does not beat"
+        }
     );
 }

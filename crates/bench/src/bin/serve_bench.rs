@@ -40,7 +40,7 @@ use mga_bench::{
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{FusionModel, Modality, TrainData};
 use mga_core::omp::OmpTask;
-use mga_serve::{Cluster, ClusterConfig, Engine, InferencePlan, Request, ServeConfig};
+use mga_serve::{Cluster, ClusterConfig, Engine, ServeConfig};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -92,11 +92,7 @@ fn session(
             let id = (burst * 4 + j) as u64;
             submit_at[id as usize] = Instant::now();
             engine
-                .submit(Request {
-                    id,
-                    kernel: data.sample_kernel[i],
-                    aux: data.aux[i].clone(),
-                })
+                .submit_slice(id, data.sample_kernel[i], &data.aux[i])
                 .expect("admit");
         }
         engine.tick();
@@ -143,16 +139,6 @@ fn run() -> Result<(), BenchError> {
         .set_int("val_samples", fold.val.len() as i64);
 
     let model = FusionModel::fit(cfg, &data, &fold.train, &task.codec.head_sizes());
-
-    // Plan-compile cost is part of the deployment story: record it in
-    // the manifest so regressions in compile time are visible, not just
-    // per-request cost.
-    let t0 = Instant::now();
-    let plan = InferencePlan::compile(&model);
-    let compile_ns = t0.elapsed().as_nanos() as f64;
-    man.set_float("plan_compile_ns", compile_ns)
-        .set_int("plan_weight_bytes_f32", plan.weight_bytes() as i64);
-    drop(plan);
 
     let serve_cfg = ServeConfig {
         max_batch: 8,
@@ -344,7 +330,7 @@ fn run() -> Result<(), BenchError> {
 
     // ── Cluster scaling curve: the same request stream through 1/2/4/8
     // shard clusters, each shard ticked in turn on this thread. The
-    // driver uses the zero-allocation `submit_ref` intake, so the curve
+    // driver uses the zero-allocation `submit_slice` intake, so the curve
     // measures routing, admission and per-shard dispatch, not request
     // construction; the `cluster_scaling_8x` record is the 8-shard /
     // 1-shard ns ratio ×1000 (lower is better), which CI gates so a
@@ -356,7 +342,6 @@ fn run() -> Result<(), BenchError> {
             shards,
             queue_capacity: 1 << 14,
             serve: serve_cfg.clone(),
-            ..ClusterConfig::default()
         };
         let mut cluster = Cluster::new(&model, data.graphs, data.vectors, ccfg);
         for s in 0..shards {
@@ -372,7 +357,7 @@ fn run() -> Result<(), BenchError> {
                     // Typed sheds are a valid outcome when the user arms
                     // an MGA_FAULT shard site; fault-free gate runs
                     // admit everything.
-                    let _ = cluster.submit_ref(
+                    let _ = cluster.submit_slice(
                         (b * burst + j) as u64,
                         data.sample_kernel[i],
                         &data.aux[i],
@@ -449,7 +434,6 @@ fn run() -> Result<(), BenchError> {
                 shards,
                 queue_capacity: serve_cfg.max_batch,
                 serve: serve_cfg.clone(),
-                ..ClusterConfig::default()
             };
             let mut cluster = Cluster::new(&model, data.graphs, data.vectors, ccfg);
             for s in 0..shards {
@@ -462,8 +446,12 @@ fn run() -> Result<(), BenchError> {
                 for _ in 0..ticks {
                     for _ in 0..offered_per_tick {
                         let i = stream[(*next_id as usize) % stream.len()];
-                        let _ =
-                            cluster.submit_ref(*next_id, data.sample_kernel[i], &data.aux[i], None);
+                        let _ = cluster.submit_slice(
+                            *next_id,
+                            data.sample_kernel[i],
+                            &data.aux[i],
+                            None,
+                        );
                         *next_id += 1;
                     }
                     cluster.tick();

@@ -83,9 +83,6 @@ struct FlightSummary {
     conf_sum: f64,
     e2e: Vec<f64>,
     drift: Vec<String>,
-    /// Request count per disposition tag (served / redirected / shed_*…)
-    /// — the overload story of the run, straight from the flight dumps.
-    dispositions: BTreeMap<String, u64>,
     /// Request count per batch-cut reason (full / wait / flush / sync)
     /// — how the batcher actually decided.
     batch_modes: BTreeMap<String, u64>,
@@ -111,13 +108,6 @@ fn load_flight(path: &str) -> Result<FlightSummary, BenchError> {
                 fs.queue_ticks_sum += num("queue_ticks") as u64;
                 fs.conf_sum += num("confidence");
                 fs.e2e.push(num("e2e_ns"));
-                // Older dumps predate the disposition field; they were
-                // all served requests.
-                let disp = v
-                    .get("disposition")
-                    .and_then(Json::as_str)
-                    .unwrap_or("served");
-                *fs.dispositions.entry(disp.to_string()).or_insert(0) += 1;
                 // Older dumps predate the batch_mode field; the batcher
                 // only had the full-batch cut then.
                 let mode = v.get("batch_mode").and_then(Json::as_str).unwrap_or("full");
@@ -195,14 +185,20 @@ fn render_metrics(snap: &Snapshot) {
             }
         }
     }
-    println!("\n── cache ──");
+    // Hits, misses and evictions are counters every engine's cache
+    // adds to, so they sum over the process; occupancy and capacity are
+    // the gauges of the last engine that published.
+    println!("\n── cache (counters summed over every engine in the process) ──");
     for key in [
-        "serve.cache.hits",
-        "serve.cache.misses",
-        "serve.cache.evictions",
-        "serve.cache.occupancy",
-        "serve.cache.capacity",
+        "serve.cache_hits",
+        "serve.cache_misses",
+        "serve.cache_evictions",
     ] {
+        if let Some(v) = snap.counters.get(key) {
+            println!("{key:<24} {v:.0}");
+        }
+    }
+    for key in ["serve.cache.occupancy", "serve.cache.capacity"] {
         if let Some(v) = snap.gauges.get(key) {
             println!("{key:<24} {v:.0}");
         }
@@ -340,12 +336,6 @@ fn render_flight(fs: &FlightSummary) {
             fmt_ns(pct(50.0)),
             fmt_ns(pct(99.0))
         );
-        if fs.dispositions.keys().any(|k| k != "served") {
-            println!("\n── dispositions ──");
-            for (disp, count) in &fs.dispositions {
-                println!("{disp:<24} {count}");
-            }
-        }
         if fs.batch_modes.keys().any(|k| k != "full") {
             println!("\n── batch cut reasons ──");
             for (mode, count) in &fs.batch_modes {

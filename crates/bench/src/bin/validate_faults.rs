@@ -38,7 +38,7 @@ use mga_gnn::GnnConfig;
 use mga_kernels::catalog::openmp_thread_dataset;
 use mga_obs::fault;
 use mga_obs::metrics;
-use mga_serve::{load_candidate, Cluster, ClusterConfig, Health, Request, ServeConfig, SwapError};
+use mga_serve::{load_candidate, Cluster, ClusterConfig, Health, ServeConfig, SwapError};
 use mga_sim::cpu::CpuSpec;
 use mga_sim::openmp::thread_space;
 
@@ -342,7 +342,6 @@ fn main() {
             cache_capacity: 16,
             ..ServeConfig::default()
         },
-        ..ClusterConfig::default()
     };
     // Drive a fixed submit/tick script; returns (submitted, cluster
     // accepted/answered totals, surviving shard count).
@@ -351,12 +350,10 @@ fn main() {
         let mut submitted = 0u64;
         for step in 0..steps {
             let i = val[step % val.len()];
-            let req = Request {
-                id: submitted,
-                kernel: data.sample_kernel[i],
-                aux: data.aux[i].clone(),
-            };
-            if cluster.submit(req, None).is_ok() {
+            if cluster
+                .submit_slice(submitted, data.sample_kernel[i], &data.aux[i], None)
+                .is_ok()
+            {
                 submitted += 1;
             }
             if step % 3 == 2 {

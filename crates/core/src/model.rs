@@ -487,10 +487,10 @@ impl PreparedBatch {
     }
 }
 
-/// Borrowed snapshot of the trained classifier for plan compilation
-/// (`mga-serve`): the packed trunk/head weights and the dynamic-feature
-/// scaler — everything a request needs that is not a per-kernel static
-/// embedding.
+/// Borrowed view of the trained classifier that an `mga-serve`
+/// inference plan serves from: the trunk/head weights and the
+/// dynamic-feature scaler — everything a request needs that is not a
+/// per-kernel static embedding.
 pub struct ModelExport<'a> {
     /// Trunk weight `[in_dim × hidden]` and bias `[1 × hidden]`.
     pub trunk_w: &'a Tensor,
@@ -1113,7 +1113,8 @@ impl FusionModel {
             .collect()
     }
 
-    /// Snapshot the classifier weights for inference-plan compilation.
+    /// Borrow the classifier weights and aux scaler for an inference
+    /// plan.
     pub fn export(&self) -> ModelExport<'_> {
         let trunk_w = self.ps.value(self.trunk.w);
         ModelExport {

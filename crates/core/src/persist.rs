@@ -32,8 +32,8 @@
 //! file is sealed by an FNV-1a-64 checksum on the `[crc]` line directly
 //! before the `end` terminator — any truncation or byte mutation fails
 //! the load with [`PersistError::Malformed`] instead of silently
-//! restoring wrong weights. v1 checkpoints (no checksums, no training
-//! state) remain loadable.
+//! restoring wrong weights. Only this sealed format loads: a file with
+//! any other header, such as the unsealed v1 format, is rejected.
 //!
 //! [`save_checkpoint_to_file`] writes atomically (temp file + rename), so
 //! a crash mid-write leaves the previous checkpoint intact.
@@ -204,11 +204,10 @@ fn parse_crc_hex(hex: &str, width: usize) -> Option<u64> {
         .flatten()
 }
 
-/// Verify a section's `crc=` token against its payload lines. v1
-/// sections carry no token and pass unchecked (the caller may still be
-/// protected by the file-level checksum).
+/// Verify a section's `crc=` token, which every data-bearing section
+/// carries, against its payload lines.
 fn check_crc(tok: Option<&str>, payload: &[&str], what: &str) -> Result<(), PersistError> {
-    let Some(tok) = tok else { return Ok(()) };
+    let tok = tok.ok_or_else(|| PersistError::Malformed(format!("{what}: no crc")))?;
     let hex = tok
         .strip_prefix("crc=")
         .ok_or_else(|| PersistError::Malformed(format!("{what}: unexpected token {tok}")))?;
@@ -400,25 +399,21 @@ fn verify_file_crc(text: &str) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Restore a model from its text checkpoint (either version), dropping
-/// any training state.
+/// Restore a model from its text checkpoint, dropping any training
+/// state.
 pub fn load_model(text: &str) -> Result<FusionModel, PersistError> {
     load_checkpoint(text).map(|(m, _)| m)
 }
 
-/// Restore a model plus, for v2 checkpoints saved mid-training, the
+/// Restore a model plus, for checkpoints saved mid-training, the
 /// [`TrainState`] needed to resume exactly.
 pub fn load_checkpoint(text: &str) -> Result<(FusionModel, Option<TrainState>), PersistError> {
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("");
-    let v2 = match header {
-        "mga-model v2" => true,
-        "mga-model v1" => false,
-        _ => return Err(PersistError::Malformed(format!("bad header `{header}`"))),
-    };
-    if v2 {
-        verify_file_crc(text)?;
+    if header != "mga-model v2" {
+        return Err(PersistError::Malformed(format!("bad header `{header}`")));
     }
+    verify_file_crc(text)?;
 
     let mut modality = Modality::Multimodal;
     let mut use_aux = true;
@@ -540,15 +535,6 @@ pub fn load_checkpoint(text: &str) -> Result<(FusionModel, Option<TrainState>), 
                 let mins = parse_floats(raw_mins)?;
                 let maxs = parse_floats(raw_maxs)?;
                 aux_minmax = Some((mins, maxs));
-            }
-            // Training-state sections and the file seal only exist in
-            // v2; seeing one under a v1 header means the header itself
-            // was corrupted (which would also bypass seal verification).
-            "[train]" | "[optim]" | "[rng]" | "[moment]" | "[crc]" if !v2 => {
-                return Err(PersistError::Malformed(format!(
-                    "v2-only section {} in a v1 checkpoint",
-                    line.split_whitespace().next().unwrap_or("")
-                )));
             }
             "[train]" => {
                 tr_epoch = Some(field(&mut toks, "train epoch")?);
@@ -811,25 +797,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_load() {
-        // Strip the v2 integrity features from a fresh save to produce a
-        // legacy v1 file: old header, no crc tokens, no [crc] seal.
-        let (ds, task, model, val) = trained(Modality::VectorOnly);
-        let data = task.train_data(&ds);
-        let v2 = save_model(&model, 12, 5);
-        let v1: String = v2
-            .lines()
-            .filter(|l| !l.starts_with("[crc] "))
-            .map(|l| {
-                let l = l.replace("mga-model v2", "mga-model v1");
-                match l.find(" crc=") {
-                    Some(i) => format!("{}\n", &l[..i]),
-                    None => format!("{l}\n"),
-                }
-            })
-            .collect();
-        let restored = load_model(&v1).expect("v1 load");
-        assert_eq!(model.predict(&data, &val), restored.predict(&data, &val));
+    fn sections_without_a_crc_are_rejected() {
+        // Drop one section's `crc=` token and re-seal the file, so only
+        // the missing token can fail the load.
+        let (_, _, model, _) = trained(Modality::VectorOnly);
+        let text = save_model(&model, 12, 5);
+        let seal = text.rfind("[crc] ").expect("sealed");
+        let at = text.find(" crc=").expect("a section checksum");
+        let eol = at + text[at..].find('\n').expect("header line ends");
+        let body = format!("{}{}", &text[..at], &text[eol..seal]);
+        let resealed = format!("{body}[crc] {:016x}\nend\n", fnv64(body.as_bytes()));
+        match load_model(&resealed) {
+            Err(PersistError::Malformed(m)) => assert!(m.ends_with("no crc"), "{m}"),
+            Err(e) => panic!("expected Malformed, got {e}"),
+            Ok(_) => panic!("a section without its crc loaded"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`PersistError::Malformed`] — never a panic, and never a silently
 //! accepted load. The file-level FNV-1a seal guarantees this for the
 //! sealed body (a single-byte substitution always changes the hash);
-//! strict lowercase-hex parsing and the v1-section guard cover the few
+//! strict lowercase-hex parsing and the header check cover the few
 //! unsealed tail/header bytes.
 
 use std::sync::OnceLock;
@@ -117,10 +117,10 @@ proptest! {
 }
 
 /// The two corruptions the random sweep is unlikely to hit, pinned
-/// deterministically: flipping the header version to `v1` (which would
-/// bypass seal verification if v2-only sections weren't rejected there)
-/// and case-flipping a seal hex digit (which `from_str_radix` alone
-/// would re-parse to the stored value).
+/// deterministically: flipping the header version to `v1` (a format
+/// without seals, which no longer loads) and case-flipping a seal hex
+/// digit (which `from_str_radix` alone would re-parse to the stored
+/// value).
 #[test]
 fn header_downgrade_and_seal_case_flip_are_rejected() {
     let text = std::str::from_utf8(checkpoint_bytes()).expect("checkpoint is UTF-8");

@@ -32,7 +32,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -295,20 +295,15 @@ pub fn parallel_for(count: usize, task: impl Fn(usize) + Sync) {
 
 /// Run `task(i, &mut items[i])` for every element across the pool,
 /// blocking until all complete: a [`parallel_for`] whose chunk `i` owns
-/// element `i`. Panics are reported as `parallel_for` reports them.
+/// element `i`. Each element sits behind its own lock, which chunk `i`
+/// takes once; the callers run a handful of chunks per job (CV folds,
+/// training replicas), so the locks cost nothing measurable. Panics are
+/// reported as `parallel_for` reports them.
 pub fn parallel_for_mut<T: Send>(items: &mut [T], task: impl Fn(usize, &mut T) + Sync) {
-    let len = items.len();
-    // `AtomicPtr` only carries the base pointer to the chunks (it is
-    // `Sync` where `*mut T` is not); nothing stores to it.
-    let base = AtomicPtr::new(items.as_mut_ptr());
-    parallel_for(len, |i| {
-        // SAFETY: `i < len`, so the element is in bounds, and
-        // `parallel_for` runs each index at most once, so no other chunk
-        // holds a reference to it. `items` stays mutably borrowed until
-        // every chunk has returned, and `T: Send` lets the `&mut T` reach
-        // a worker thread.
-        let item = unsafe { &mut *base.load(Ordering::Relaxed).add(i) };
-        task(i, item);
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    parallel_for(cells.len(), |i| {
+        let mut item = cells[i].lock().expect("only chunk i locks element i, once");
+        task(i, &mut **item);
     });
 }
 

@@ -8,16 +8,16 @@
 //! consistent-hash [`Router`] keyed by kernel id, with three promises:
 //!
 //! 1. **Every accepted request is answered.** Admission
-//!    ([`crate::admission`]) is the only gate: once `submit` returns
-//!    `Ok`, the request is served — if its shard crashes first, the
-//!    evacuated queue reroutes to surviving shards (overflowing into a
-//!    retry buffer when they're momentarily full) rather than dropping.
+//!    ([`crate::admission`]) is the only gate: once
+//!    [`Cluster::submit_slice`] returns `Ok`, the request is served —
+//!    if its shard crashes first, the evacuated queue reroutes to
+//!    surviving shards (overflowing into a retry buffer when they're
+//!    momentarily full) rather than dropping.
 //! 2. **Every refusal is typed.** Overload sheds at the door with a
 //!    [`ServeError`] naming the reason (queue full, deadline unmeetable,
-//!    shard down) — never a panic, never a silent drop. Sheds and
-//!    redirects land in the cluster's own admission [`FlightRecorder`]
-//!    with a [`Disposition`] tag, alongside `serve.shed_total` /
-//!    `serve.redirect_total` / `serve.reroute_total` counters.
+//!    shard down) — never a panic, never a silent drop. Sheds,
+//!    redirects and reroutes are counted in `serve.shed_total` /
+//!    `serve.redirect_total` / `serve.reroute_total`.
 //! 3. **Everything replays.** Routing, admission, health transitions,
 //!    swap install points and fault injection all run on the cluster's
 //!    logical tick with zero wall-clock or RNG reads — the chaos suite
@@ -33,9 +33,9 @@
 //!
 //! Failure machinery rides the existing `MGA_FAULT` sites: `shard:crash`
 //! kills a shard at a tick boundary (queue evacuated, health `Down`),
-//! `shard:stall` freezes its dispatch for [`ClusterConfig::stall_ticks`]
+//! `shard:stall` freezes its dispatch for [`STALL_TICKS`]
 //! (health `Degraded`, admission estimates stretch accordingly),
-//! `route:misdirect` sends an admission to the wrong shard (recorded as
+//! `route:misdirect` sends an admission to the wrong shard (counted as
 //! a redirect — correctness is unaffected because every shard serves
 //! the full catalog), and `swap:corrupt` flips a bit in a hot-swap
 //! candidate checkpoint so [`load_candidate`] must reject it.
@@ -57,10 +57,9 @@ use mga_graph::ProGraph;
 use mga_obs::fault::{self, Kind, Site};
 use mga_obs::metrics::{self, Counter, Gauge};
 
-use crate::admission::{self, Decision, ShardView, ShedReason};
+use crate::admission::{self, Decision, ShardView};
 use crate::engine::{Engine, Request, Response, ServeConfig};
 use crate::error::{ServeError, SwapError};
-use crate::flight::{Disposition, FlightRecord, FlightRecorder};
 use crate::plan::InferencePlan;
 use crate::router::{Router, DEFAULT_VNODES};
 
@@ -96,18 +95,18 @@ impl Health {
     }
 }
 
-/// Cluster shape and per-shard policy.
+/// How many ticks a `shard:stall` fault freezes a shard's dispatch.
+pub const STALL_TICKS: u64 = 3;
+
+/// Cluster shape and per-shard policy. The ring has
+/// [`DEFAULT_VNODES`] virtual points per shard.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of engine shards.
     pub shards: usize,
-    /// Virtual ring points per shard (routing granularity).
-    pub vnodes: usize,
     /// Per-shard bounded intake depth — the backpressure knob. Unlike a
     /// standalone engine, the cluster always runs bounded.
     pub queue_capacity: usize,
-    /// How many ticks a `shard:stall` fault freezes dispatch.
-    pub stall_ticks: u64,
     /// Per-shard engine policy (batching, cache, telemetry). Its
     /// `queue_capacity` is overridden by the cluster's.
     pub serve: ServeConfig,
@@ -117,9 +116,7 @@ impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         ClusterConfig {
             shards: 4,
-            vnodes: DEFAULT_VNODES,
             queue_capacity: 64,
-            stall_ticks: 3,
             serve: ServeConfig::default(),
         }
     }
@@ -170,9 +167,6 @@ pub struct Cluster<'a> {
     /// Accepted-but-unplaceable requests (every live shard full at
     /// reroute time); retried at the start of each tick. Never dropped.
     overflow: VecDeque<Request>,
-    /// Admission-side flight ring: sheds, redirects and reroutes (served
-    /// requests are recorded by their shard's engine).
-    flight: FlightRecorder,
     shed_total: &'static Counter,
     redirect_total: &'static Counter,
     reroute_total: &'static Counter,
@@ -188,7 +182,8 @@ pub struct Cluster<'a> {
 
 impl<'a> Cluster<'a> {
     /// Build `cfg.shards` engines over a shared catalog. Each shard
-    /// compiles its own plan and owns its own cache and queue.
+    /// holds its own plan over `model` and owns its own cache and
+    /// queue.
     pub fn new(
         model: &'a FusionModel,
         graphs: &'a [ProGraph],
@@ -211,7 +206,7 @@ impl<'a> Cluster<'a> {
                 m: ShardMetrics::new(i),
             })
             .collect();
-        let router = Router::new(cfg.shards, cfg.vnodes);
+        let router = Router::new(cfg.shards, DEFAULT_VNODES);
         let route_table = (0..graphs.len()).map(|k| router.route(k) as u32).collect();
         Cluster {
             shards,
@@ -221,11 +216,6 @@ impl<'a> Cluster<'a> {
             vectors,
             tick: 0,
             overflow: VecDeque::new(),
-            flight: FlightRecorder::new(if cfg.serve.telemetry {
-                cfg.serve.flight_capacity
-            } else {
-                0
-            }),
             shed_total: metrics::counter("serve.shed_total"),
             redirect_total: metrics::counter("serve.redirect_total"),
             reroute_total: metrics::counter("serve.reroute_total"),
@@ -261,7 +251,7 @@ impl<'a> Cluster<'a> {
     }
 
     /// A shard's engine, mutably (cache warming, direct inspection).
-    /// Serve-path mutation belongs to [`Cluster::submit`] /
+    /// Serve-path mutation belongs to [`Cluster::submit_slice`] /
     /// [`Cluster::tick`].
     pub fn engine_mut(&mut self, shard: usize) -> &mut Engine<'a> {
         &mut self.shards[shard].engine
@@ -295,11 +285,6 @@ impl<'a> Cluster<'a> {
         self.answered
     }
 
-    /// The admission flight ring (sheds, redirects, reroutes).
-    pub fn admission_flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
     fn refresh_views(&mut self) {
         let capacity = self.cfg.queue_capacity;
         self.views.clear();
@@ -328,56 +313,20 @@ impl<'a> Cluster<'a> {
         });
     }
 
-    fn note_disposition(&mut self, id: u64, kernel: usize, disposition: Disposition) {
-        self.flight.push(FlightRecord {
-            id,
-            kernel: kernel as u32,
-            submit_tick: self.tick,
-            served_tick: self.tick,
-            disposition,
-            ..FlightRecord::default()
-        });
-    }
-
-    /// Admit one request at the current tick. Returns the shard it was
-    /// enqueued on, or the typed refusal. `deadline_tick` (absolute
-    /// cluster tick) arms deadline-aware shedding: if no candidate shard
-    /// can finish by then under the queue-depth estimate, the request is
-    /// refused *now* rather than queued to miss.
-    pub fn submit(
-        &mut self,
-        req: Request,
-        deadline_tick: Option<u64>,
-    ) -> Result<usize, ServeError> {
-        let id = req.id;
-        let kernel = req.kernel;
-        self.admit_request(id, kernel, deadline_tick, &[], Some(req))
-    }
-
-    /// [`Cluster::submit`] from borrowed parts — no [`Request`] built,
-    /// no `Vec<f32>` allocated: the shard copies the aux row into a
-    /// recycled engine buffer ([`Engine::submit_slice`]). This is the
-    /// zero-allocation intake path for drivers that own their request
-    /// stream (benchmarks, replay harnesses, network frontends).
-    pub fn submit_ref(
+    /// Admit request `id` for `kernel` with raw dynamic features `aux`
+    /// at the current tick. Returns the shard it was enqueued on, or the
+    /// typed refusal. No `Vec<f32>` is allocated: the shard copies the
+    /// aux row into a recycled engine buffer ([`Engine::submit_slice`]).
+    /// `deadline_tick` (absolute cluster tick) arms deadline-aware
+    /// shedding: if no candidate shard can finish by then under the
+    /// queue-depth estimate, the request is refused *now* rather than
+    /// queued to miss.
+    pub fn submit_slice(
         &mut self,
         id: u64,
         kernel: usize,
         aux: &[f32],
         deadline_tick: Option<u64>,
-    ) -> Result<usize, ServeError> {
-        self.admit_request(id, kernel, deadline_tick, aux, None)
-    }
-
-    /// Shared admission core. `owned` carries the caller's `Request` on
-    /// the owned path (its aux is used); the borrowed path passes `aux`.
-    fn admit_request(
-        &mut self,
-        id: u64,
-        kernel: usize,
-        deadline_tick: Option<u64>,
-        aux: &[f32],
-        owned: Option<Request>,
     ) -> Result<usize, ServeError> {
         if kernel >= self.graphs.len() {
             return Err(ServeError::UnknownKernel {
@@ -417,11 +366,10 @@ impl<'a> Cluster<'a> {
                     }
                 };
                 if deadline_ok {
-                    self.enqueue_on(owner, id, kernel, aux, owned);
+                    self.enqueue_on(owner, id, kernel, aux);
                     self.accepted += 1;
                     if owner != hash_owner {
                         self.redirect_total.inc();
-                        self.note_disposition(id, kernel, Disposition::Redirected);
                     }
                     return Ok(owner);
                 }
@@ -440,22 +388,15 @@ impl<'a> Cluster<'a> {
         );
         match decision {
             Decision::Admit { shard } | Decision::Redirect { to: shard, .. } => {
-                self.enqueue_on(shard, id, kernel, aux, owned);
+                self.enqueue_on(shard, id, kernel, aux);
                 self.accepted += 1;
                 if shard != hash_owner {
                     self.redirect_total.inc();
-                    self.note_disposition(id, kernel, Disposition::Redirected);
                 }
                 Ok(shard)
             }
             Decision::Shed { shard, reason } => {
                 self.shed_total.inc();
-                let disposition = match reason {
-                    ShedReason::QueueFull { .. } => Disposition::ShedQueueFull,
-                    ShedReason::Deadline { .. } => Disposition::ShedDeadline,
-                    ShedReason::ShardDown => Disposition::ShedShardDown,
-                };
-                self.note_disposition(id, kernel, disposition);
                 Err(reason.to_error(shard))
             }
         }
@@ -463,20 +404,11 @@ impl<'a> Cluster<'a> {
 
     /// Enqueue an accepted request on `shard`. Room and kernel were
     /// checked by admission.
-    fn enqueue_on(
-        &mut self,
-        shard: usize,
-        id: u64,
-        kernel: usize,
-        aux: &[f32],
-        owned: Option<Request>,
-    ) {
-        let engine = &mut self.shards[shard].engine;
-        match owned {
-            Some(req) => engine.submit(req),
-            None => engine.submit_slice(id, kernel, aux),
-        }
-        .expect("admission checked kernel and room");
+    fn enqueue_on(&mut self, shard: usize, id: u64, kernel: usize, aux: &[f32]) {
+        self.shards[shard]
+            .engine
+            .submit_slice(id, kernel, aux)
+            .expect("admission checked kernel and room");
     }
 
     /// Place an already-accepted request on any live shard with room
@@ -492,11 +424,8 @@ impl<'a> Cluster<'a> {
             if s.health == Health::Down || s.engine.queue_depth() >= self.cfg.queue_capacity {
                 continue;
             }
-            let id = req.id;
-            let kernel = req.kernel;
-            self.enqueue_on(shard, id, kernel, &[], Some(req));
+            self.enqueue_on(shard, req.id, req.kernel, &req.aux);
             self.reroute_total.inc();
-            self.note_disposition(id, kernel, Disposition::Rerouted);
             return None;
         }
         Some(req)
@@ -558,7 +487,7 @@ impl<'a> Cluster<'a> {
                     if self.shards[i].health != Health::Down {
                         match shot.kind {
                             Kind::Crash => self.kill_shard(i),
-                            Kind::Stall => self.stall_shard(i, self.cfg.stall_ticks),
+                            Kind::Stall => self.stall_shard(i, STALL_TICKS),
                             _ => {}
                         }
                     }
@@ -661,7 +590,7 @@ impl<'a> Cluster<'a> {
             return Err(SwapError::NoSuchShard { shard, shards: n });
         }
         let current = self.shards[shard].engine.plan();
-        let plan = InferencePlan::compile(candidate);
+        let plan = InferencePlan::new(candidate);
         let gate = [
             ("in_dim", current.in_dim(), plan.in_dim()),
             ("static_dim", current.static_dim(), plan.static_dim()),
@@ -689,11 +618,7 @@ impl<'a> Cluster<'a> {
         // Weight scan: a single probe input cannot see every NaN weight
         // (ReLU maps NaN to 0, the matmul skips weight rows that meet a
         // zero input, and head logits only feed the argmax).
-        let e = candidate.export();
-        let mut tensors = [e.trunk_w, e.trunk_b]
-            .into_iter()
-            .chain(e.heads.iter().flat_map(|&(w, b)| [w, b]));
-        if tensors.any(|t| t.data().iter().any(|v| !v.is_finite())) {
+        if !plan.weights_finite() {
             return Err(SwapError::Probe {
                 detail: "non-finite trunk or head weights".into(),
             });
@@ -727,7 +652,7 @@ impl<'a> Cluster<'a> {
                 detail: "out-of-range class decision on probe input".into(),
             });
         }
-        self.shards[shard].engine.swap_plan(plan, candidate);
+        self.shards[shard].engine.swap_plan(plan);
         Ok(())
     }
 

@@ -13,7 +13,9 @@ use mga_obs::{clock, metrics};
 
 use crate::cache::EmbeddingCache;
 use crate::error::ServeError;
-use crate::flight::{drift_event_to_json, FlightRecord, FlightRecorder, MAX_FLIGHT_HEADS};
+use crate::flight::{
+    drift_event_to_json, FlightRecord, FlightRecorder, FLIGHT_CAPACITY, MAX_FLIGHT_HEADS,
+};
 use crate::plan::InferencePlan;
 
 /// Batching policy for the serving loop. Time is *logical*: the engine
@@ -43,9 +45,6 @@ pub struct ServeConfig {
     /// served byte — `tests/serve_observability.rs` holds the engine to
     /// that.
     pub telemetry: bool,
-    /// Flight-recorder ring capacity (last N requests; 0 disables the
-    /// ring while keeping histograms and drift monitors).
-    pub flight_capacity: usize,
     /// Drift-monitor tuning (windows, EWMA weight, thresholds).
     pub drift: DriftConfig,
 }
@@ -58,7 +57,6 @@ impl Default for ServeConfig {
             cache_capacity: 64,
             queue_capacity: usize::MAX,
             telemetry: true,
-            flight_capacity: 4096,
             drift: DriftConfig::default(),
         }
     }
@@ -172,13 +170,6 @@ impl HotMetrics {
     }
 }
 
-/// A plan staged by [`Engine::swap_plan`], waiting for the pre-swap
-/// queue to drain before it installs.
-struct StagedSwap<'a> {
-    plan: InferencePlan,
-    model: &'a FusionModel,
-}
-
 /// Fast algebraic squash of a decision margin into (0, 1):
 /// `0.5 + 0.5·m/(1+|m|)`. Monotonic in the margin, 0.5 at zero margin,
 /// ~1 for large margins — the shape the confidence drift detector
@@ -197,15 +188,15 @@ fn margin_confidence(m: f32) -> f32 {
 /// cycle through an [`Arena`] (always sized for `max_batch`, so the
 /// size classes never change), responses are recycled via
 /// [`Engine::recycle`], and the cache's storage is fixed at
-/// construction. Kernels unseen at compile time take a slow path that
-/// computes their static embedding on first use and caches it — the
-/// paper's unseen-kernel scenario (Fig. 6) costs one GNN+DAE pass, then
-/// serves at cached speed.
+/// construction. Kernels the cache does not hold take a slow path that
+/// computes their static embedding with the plan's model on first use
+/// and caches it — the paper's unseen-kernel scenario (Fig. 6) costs
+/// one GNN+DAE pass, then serves at cached speed.
 ///
 /// With telemetry on (the default) the engine additionally maintains,
 /// still without allocating:
 ///
-/// * a [`FlightRecorder`] ring of the last `flight_capacity` requests;
+/// * a [`FlightRecorder`] ring of the last [`FLIGHT_CAPACITY`] requests;
 /// * log₂ latency histograms per stage (`serve.lat.queue_wait`,
 ///   `.cache_lookup`, `.scale_aux`, `.trunk`, `.heads`, `.e2e`) in the
 ///   process metrics registry;
@@ -216,14 +207,13 @@ fn margin_confidence(m: f32) -> f32 {
 /// Telemetry is observation-only: every served byte is bitwise
 /// identical with it on or off.
 pub struct Engine<'a> {
-    plan: InferencePlan,
+    plan: InferencePlan<'a>,
     cache: EmbeddingCache,
-    model: &'a FusionModel,
     /// Hot-swap staging: `staged` is the next plan, `old_pending` how
     /// many queued requests must still be served by the *current* plan
     /// before it installs. Zero-drop by construction: nothing is ever
     /// removed from the queue except by serving or [`Engine::evacuate`].
-    staged: Option<StagedSwap<'a>>,
+    staged: Option<InferencePlan<'a>>,
     old_pending: usize,
     /// Installed-plan generation (bumps once per completed swap).
     plan_epoch: u64,
@@ -234,9 +224,10 @@ pub struct Engine<'a> {
     queue: VecDeque<Pending>,
     completed: VecDeque<Response>,
     spare: Vec<Response>,
-    /// Recycled aux buffers for [`Engine::submit_slice`] — the borrowed
-    /// intake path reuses these instead of allocating a `Vec<f32>` per
-    /// request, keeping cluster steady-state intake allocation-free.
+    /// Recycled aux buffers for [`Engine::submit_slice`], which copies
+    /// each request's aux row into one instead of allocating a
+    /// `Vec<f32>` per request, keeping steady-state intake
+    /// allocation-free.
     spare_aux: Vec<Vec<f32>>,
     arena: Arena,
     /// Reusable class-decision buffer (`max_batch × num_heads`).
@@ -264,9 +255,10 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Compile `model` into a plan and set up the serving state.
-    /// `graphs` and `vectors` are the kernel catalog the slow path
-    /// consults for cache misses (indexed by `Request::kernel`).
+    /// Serve `model` through an [`InferencePlan`] over it and set up
+    /// the serving state. `graphs` and `vectors` are the kernel catalog
+    /// the slow path consults for cache misses (indexed by
+    /// `Request::kernel`).
     pub fn new(
         model: &'a FusionModel,
         graphs: &'a [ProGraph],
@@ -274,7 +266,7 @@ impl<'a> Engine<'a> {
         cfg: ServeConfig,
     ) -> Engine<'a> {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
-        let plan = InferencePlan::compile(model);
+        let plan = InferencePlan::new(model);
         assert!(
             plan.num_heads() <= MAX_FLIGHT_HEADS,
             "flight records hold at most {MAX_FLIGHT_HEADS} heads"
@@ -308,11 +300,7 @@ impl<'a> Engine<'a> {
             clock::init();
         }
         Engine {
-            flight: FlightRecorder::new(if cfg.telemetry {
-                cfg.flight_capacity
-            } else {
-                0
-            }),
+            flight: FlightRecorder::new(if cfg.telemetry { FLIGHT_CAPACITY } else { 0 }),
             lat: HotMetrics::new(),
             drift: DriftMonitor::new(cfg.drift.clone()),
             drift_events: Vec::with_capacity(256),
@@ -320,7 +308,6 @@ impl<'a> Engine<'a> {
             stats: TickStats::default(),
             plan,
             cache,
-            model,
             staged: None,
             old_pending: 0,
             plan_epoch: 0,
@@ -341,8 +328,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The compiled plan.
-    pub fn plan(&self) -> &InferencePlan {
+    /// The installed plan.
+    pub fn plan(&self) -> &InferencePlan<'a> {
         &self.plan
     }
 
@@ -362,7 +349,7 @@ impl<'a> Engine<'a> {
         self.queue.len()
     }
 
-    /// The flight recorder (last `flight_capacity` served requests).
+    /// The flight recorder (last [`FLIGHT_CAPACITY`] served requests).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
@@ -393,39 +380,23 @@ impl<'a> Engine<'a> {
         let kernels = prep.kernels();
         let graphs: Vec<&ProGraph> = kernels.iter().map(|&k| &self.graphs[k]).collect();
         let vectors: Vec<&[f32]> = kernels.iter().map(|&k| &self.vectors[k][..]).collect();
-        let rows = self.model.static_embeddings(&graphs, &vectors);
+        let rows = self.plan.model().static_embeddings(&graphs, &vectors);
         for (r, &kernel) in kernels.iter().enumerate() {
             self.cache.insert(kernel, rows.row_slice(r));
         }
         kernels.len()
     }
 
-    /// Enqueue a request at the current tick. Typed refusals, never a
-    /// panic: an out-of-catalog kernel is [`ServeError::UnknownKernel`]
-    /// (it would have no graph to compute an embedding from) and a full
-    /// bounded queue is [`ServeError::QueueFull`] (the `shard` field is
-    /// 0 for a standalone engine; the cluster does its own admission
-    /// with real shard ids before this point).
-    pub fn submit(&mut self, req: Request) -> Result<(), ServeError> {
-        self.admit(req.id, req.kernel, &[], Some(req))
-    }
-
-    /// [`Engine::submit`] from borrowed parts — no `Request` built, no
-    /// `Vec<f32>` allocated: the aux row is copied into a recycled
-    /// buffer from the engine's spare pool. This is the cluster's
-    /// borrowed intake path; it queues exactly what
-    /// `submit(Request { id, kernel, aux: aux.to_vec() })` would.
+    /// Enqueue request `id` for `kernel` with raw dynamic features
+    /// `aux` at the current tick. No `Vec<f32>` is allocated: the aux
+    /// row is copied into a recycled buffer from the engine's spare
+    /// pool. Typed refusals, never a panic: an out-of-catalog kernel is
+    /// [`ServeError::UnknownKernel`] (it would have no graph to compute
+    /// an embedding from) and a full bounded queue is
+    /// [`ServeError::QueueFull`] (the `shard` field is 0 for a
+    /// standalone engine; the cluster does its own admission with real
+    /// shard ids before this point).
     pub fn submit_slice(&mut self, id: u64, kernel: usize, aux: &[f32]) -> Result<(), ServeError> {
-        self.admit(id, kernel, aux, None)
-    }
-
-    fn admit(
-        &mut self,
-        id: u64,
-        kernel: usize,
-        aux: &[f32],
-        owned: Option<Request>,
-    ) -> Result<(), ServeError> {
         if kernel >= self.graphs.len() {
             return Err(ServeError::UnknownKernel {
                 kernel,
@@ -445,18 +416,15 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
-        let req = owned.unwrap_or_else(|| {
-            let mut buf = self.spare_aux.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(aux);
-            Request {
+        let mut buf = self.spare_aux.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(aux);
+        self.queue.push_back(Pending {
+            req: Request {
                 id,
                 kernel,
                 aux: buf,
-            }
-        });
-        self.queue.push_back(Pending {
-            req,
+            },
             enqueued_tick: self.tick,
             submit_ns,
         });
@@ -468,13 +436,13 @@ impl<'a> Engine<'a> {
     /// queued *before* this call is served by the current plan, every
     /// later admission by `plan` — the install happens mid-dispatch the
     /// moment the pre-swap backlog hits zero, so not a single request is
-    /// dropped or re-queued. `model` is the plan's source model (the
-    /// slow embedding path must match the plan's weights); the embedding
+    /// dropped or re-queued. Cache misses after the install compute
+    /// their embeddings with the plan's own model, and the embedding
     /// cache is cleared at install because the new model's GNN/DAE make
     /// cached rows stale. Shape compatibility is the caller's contract
     /// (`Cluster::swap` validates it; standalone callers get debug
     /// asserts).
-    pub fn swap_plan(&mut self, plan: InferencePlan, model: &'a FusionModel) {
+    pub fn swap_plan(&mut self, plan: InferencePlan<'a>) {
         debug_assert_eq!(plan.in_dim(), self.plan.in_dim(), "swap changes in_dim");
         debug_assert_eq!(plan.hidden(), self.plan.hidden(), "swap changes hidden");
         debug_assert_eq!(
@@ -484,16 +452,15 @@ impl<'a> Engine<'a> {
         );
         metrics::counter("serve.swap.staged").inc();
         self.old_pending = self.queue.len();
-        self.staged = Some(StagedSwap { plan, model });
+        self.staged = Some(plan);
         if self.old_pending == 0 {
             self.install_staged();
         }
     }
 
     fn install_staged(&mut self) {
-        if let Some(s) = self.staged.take() {
-            self.plan = s.plan;
-            self.model = s.model;
+        if let Some(plan) = self.staged.take() {
+            self.plan = plan;
             self.cache.clear();
             self.plan_epoch += 1;
             metrics::counter("serve.swap.installed").inc();
@@ -598,7 +565,8 @@ impl<'a> Engine<'a> {
             return true;
         }
         let emb = self
-            .model
+            .plan
+            .model()
             .static_embeddings(&[&self.graphs[kernel]], &[&self.vectors[kernel]]);
         self.cache.insert(kernel, emb.row_slice(0));
         false
@@ -907,18 +875,16 @@ impl<'a> Engine<'a> {
     /// `serve.steady_alloc_bytes` (arena bytes allocated after the
     /// construction prewarm — zero in a healthy steady state),
     /// `serve.arena_reuse` (scratch recycles), `serve.queue_depth`, the
-    /// embedding-cache counters (`serve.cache.hits` / `.misses` /
-    /// `.evictions` / `.occupancy` / `.capacity`) and the flight/drift
-    /// bookkeeping (`serve.flight.recorded`, `serve.drift.dropped`).
+    /// embedding cache's size (`serve.cache.occupancy` / `.capacity`;
+    /// its hits, misses and evictions are the `serve.cache_hits` /
+    /// `_misses` / `_evictions` counters the cache keeps itself) and the
+    /// flight/drift bookkeeping (`serve.flight.recorded`,
+    /// `serve.drift.dropped`).
     pub fn publish_metrics(&self) {
         metrics::gauge("serve.steady_alloc_bytes")
             .set((self.arena.alloc_bytes() - self.alloc_baseline) as f64);
         metrics::gauge("serve.arena_reuse").set(self.arena.reuse_count() as f64);
         self.lat.queue_depth.set(self.queue.len() as f64);
-        let (hits, misses, evictions) = self.cache.stats();
-        metrics::gauge("serve.cache.hits").set(hits as f64);
-        metrics::gauge("serve.cache.misses").set(misses as f64);
-        metrics::gauge("serve.cache.evictions").set(evictions as f64);
         metrics::gauge("serve.cache.occupancy").set(self.cache.len() as f64);
         metrics::gauge("serve.cache.capacity").set(self.cache.capacity() as f64);
         metrics::gauge("serve.flight.recorded").set(self.flight.total() as f64);

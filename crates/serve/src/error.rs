@@ -10,8 +10,9 @@
 use mga_core::persist::PersistError;
 
 /// A request-path rejection. Admission control returns these at submit
-/// time (`Cluster::submit` / `Engine::try_submit`); the synchronous fast
-/// path returns them from `Engine::serve_one`.
+/// time (`Cluster::submit_slice` / `Engine::submit_slice`); the
+/// synchronous fast path returns them from `Engine::serve_one`.
+/// Cluster sheds are also counted in `serve.shed_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The shard's bounded intake queue is full and no healthy shard

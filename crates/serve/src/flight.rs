@@ -10,8 +10,8 @@
 //! nanoseconds) and its decision (per-head class + top-1 − top-2
 //! margin, mean confidence).
 //!
-//! The ring is sized once at engine construction
-//! ([`crate::ServeConfig::flight_capacity`]) and records are plain
+//! The ring is sized once at engine construction ([`FLIGHT_CAPACITY`]
+//! records with telemetry on, none with it off) and records are plain
 //! `Copy` structs with fixed-size per-head arrays, so recording is a
 //! struct store — **no allocation, ever**, which is what keeps the
 //! engine's `steady_alloc_bytes()` at zero with the recorder always on.
@@ -49,41 +49,9 @@ pub fn drift_event_to_json(e: &DriftEvent) -> Json {
 /// allocation-free; the engine asserts its plan fits at construction.
 pub const MAX_FLIGHT_HEADS: usize = 8;
 
-/// What ultimately happened to a request. Served requests come from the
-/// shard engines; the cluster's admission recorder additionally logs
-/// every shed and redirect so the post-incident view covers refusals,
-/// not just answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Disposition {
-    /// Answered normally by the plan.
-    #[default]
-    Served,
-    /// Admitted, but to a shard other than its hash owner (overflow
-    /// spill, down-shard takeover, or an injected `route:misdirect`).
-    Redirected,
-    /// Requeued onto a surviving shard after its original shard died.
-    Rerouted,
-    /// Shed at the door: bounded queue full, no redirect target.
-    ShedQueueFull,
-    /// Shed at the door: deadline unmeetable under the queue estimate.
-    ShedDeadline,
-    /// Shed at the door: owning shard down, no healthy takeover.
-    ShedShardDown,
-}
-
-impl Disposition {
-    /// Stable lower-snake tag used in JSONL dumps and dashboards.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Disposition::Served => "served",
-            Disposition::Redirected => "redirected",
-            Disposition::Rerouted => "rerouted",
-            Disposition::ShedQueueFull => "shed_queue_full",
-            Disposition::ShedDeadline => "shed_deadline",
-            Disposition::ShedShardDown => "shed_shard_down",
-        }
-    }
-}
+/// Records an engine's ring holds with telemetry on: the last 4096
+/// served requests.
+pub const FLIGHT_CAPACITY: usize = 4096;
 
 /// One served request, as remembered by the flight recorder.
 #[derive(Debug, Clone, Copy)]
@@ -111,9 +79,6 @@ pub struct FlightRecord {
     /// Engine-side wall nanoseconds (submit→response for batched
     /// requests, call duration for the fast path).
     pub e2e_ns: u64,
-    /// How the request left the system (served, redirected, shed —
-    /// see [`Disposition`]).
-    pub disposition: Disposition,
     /// Heads actually populated in `classes` / `margins`.
     pub num_heads: u8,
     /// Predicted class per head.
@@ -138,7 +103,6 @@ impl Default for FlightRecord {
             batch_mode: "full",
             cache_hit: false,
             e2e_ns: 0,
-            disposition: Disposition::Served,
             num_heads: 0,
             classes: [0; MAX_FLIGHT_HEADS],
             margins: [0.0; MAX_FLIGHT_HEADS],
@@ -162,7 +126,6 @@ impl FlightRecord {
             ("batch_mode", Json::str(self.batch_mode)),
             ("cache_hit", Json::Bool(self.cache_hit)),
             ("e2e_ns", Json::Num(self.e2e_ns as f64)),
-            ("disposition", Json::str(self.disposition.tag())),
             (
                 "classes",
                 Json::Arr(

@@ -9,21 +9,24 @@
 //! features change per request. This crate freezes the former and
 //! streams the latter:
 //!
-//! * [`plan::InferencePlan`] — a compile-once snapshot of the trained
-//!   classifier: packed grad-free trunk/head weights plus the dynamic
-//!   feature scaler. A request reduces to one scaler pass and a
-//!   two-layer MLP — no tape, no graph batching, no gradient slots.
+//! * [`plan::InferencePlan`] — a grad-free view of the trained
+//!   classifier: it borrows the model's own trunk/head weights and
+//!   dynamic-feature scaler, copying nothing. A request reduces to one
+//!   scaler pass and a two-layer MLP — no tape, no graph batching, no
+//!   gradient slots.
 //! * [`cache::EmbeddingCache`] — per-kernel fused static embeddings
 //!   (GNN readout ⊕ DAE code ⊕ scaled vector ⊕ summary), keyed by
 //!   kernel id with a deterministic logical-clock LRU. Warmable from a
-//!   training [`mga_core::model::PreparedBatch`]; kernels unseen at
-//!   compile time take a slow path that computes and inserts their
-//!   embedding on first use (the paper's Fig. 6 unseen-kernel scenario).
-//! * [`engine::Engine`] — a batched serving loop: requests queue, a
-//!   logical-tick policy forms micro-batches (no wall-clock reads on
-//!   the decision path, so batching is deterministic and testable), and
-//!   the scratch memory cycles through an `mga-nn` arena so the steady
-//!   state allocates nothing.
+//!   training [`mga_core::model::PreparedBatch`]; kernels the cache does
+//!   not hold take a slow path through the plan's model that computes
+//!   and inserts their embedding on first use (the paper's Fig. 6
+//!   unseen-kernel scenario).
+//! * [`engine::Engine`] — a batched serving loop: requests enter
+//!   through one borrowed intake ([`engine::Engine::submit_slice`]) and
+//!   queue, a logical-tick policy forms micro-batches (no wall-clock
+//!   reads on the decision path, so batching is deterministic and
+//!   testable), and the scratch memory cycles through an `mga-nn` arena
+//!   so the steady state allocates nothing.
 //!
 //! Every prediction is **bitwise identical** to
 //! [`mga_core::model::FusionModel::predict`]: the plan re-enters the
@@ -89,6 +92,6 @@ pub use cache::EmbeddingCache;
 pub use cluster::{load_candidate, Cluster, ClusterConfig, Health};
 pub use engine::{BatchMode, Engine, Request, Response, ServeConfig};
 pub use error::{ServeError, SwapError};
-pub use flight::{Disposition, FlightRecord, FlightRecorder};
+pub use flight::{FlightRecord, FlightRecorder};
 pub use plan::InferencePlan;
 pub use router::Router;

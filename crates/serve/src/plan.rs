@@ -1,114 +1,94 @@
-//! Frozen inference plans: compile-once classifier snapshots.
+//! Inference plans: a borrowed, grad-free view of a trained classifier.
 
-use mga_core::model::FusionModel;
+use mga_core::model::{FusionModel, ModelExport};
 use mga_nn::infer;
-use mga_nn::scaler::MinMaxScaler;
-use mga_nn::{FusedAct, Tensor};
+use mga_nn::FusedAct;
 
-/// One fused-linear stage (trunk or head): its weights and bias.
-struct Stage {
-    w: Tensor,
-    b: Tensor,
-}
-
-impl Stage {
-    fn compile(w: &Tensor, b: &Tensor) -> Stage {
-        Stage {
-            w: w.clone(),
-            b: b.clone(),
-        }
-    }
-
-    fn forward(&self, out: &mut [f32], x: &[f32], rows: usize, act: FusedAct) {
-        infer::fused_linear_into(out, x, rows, &self.w, &self.b, act)
-    }
-}
-
-/// A compiled, grad-free snapshot of a trained [`FusionModel`]'s
-/// classifier. Owns packed copies of the trunk and head weights (the
-/// model itself can be dropped or keep training a successor), plus the
-/// dynamic-feature scaler. The per-kernel static embedding prefix is
-/// *not* here — it lives in the [`crate::EmbeddingCache`], keyed by
-/// kernel.
+/// A grad-free view of a trained [`FusionModel`]'s classifier: the
+/// model's own trunk and head weights and its dynamic-feature scaler,
+/// borrowed through [`FusionModel::export`], plus the model itself for
+/// the cache-miss path. The per-kernel static embedding prefix is *not*
+/// here — it lives in the [`crate::EmbeddingCache`], keyed by kernel.
+///
+/// The plan copies nothing, so it cannot disagree with the model it
+/// serves; the model outlives the plan by its lifetime `'a`.
 ///
 /// The forward pass re-enters the exact kernels the training tape's
 /// `FusedLinear` op calls (via [`infer::fused_linear_into`], on the
 /// process's one SIMD backend), so plan outputs are bitwise-identical to
 /// `FusionModel::predict` on the same inputs.
-pub struct InferencePlan {
-    trunk: Stage,
-    heads: Vec<Stage>,
-    head_sizes: Vec<usize>,
-    aux_scaler: Option<MinMaxScaler>,
-    in_dim: usize,
-    aux_dim: usize,
-    hidden: usize,
+pub struct InferencePlan<'a> {
+    model: &'a FusionModel,
+    e: ModelExport<'a>,
 }
 
-impl InferencePlan {
-    /// Snapshot `model`'s classifier weights into a frozen plan.
-    pub fn compile(model: &FusionModel) -> InferencePlan {
-        mga_obs::span!("serve.compile");
-        let e = model.export();
+impl<'a> InferencePlan<'a> {
+    /// A plan over `model`'s classifier.
+    pub fn new(model: &'a FusionModel) -> InferencePlan<'a> {
         InferencePlan {
-            trunk: Stage::compile(e.trunk_w, e.trunk_b),
-            heads: e.heads.iter().map(|(w, b)| Stage::compile(w, b)).collect(),
-            head_sizes: e.head_sizes.to_vec(),
-            aux_scaler: e.aux_scaler.cloned(),
-            in_dim: e.in_dim,
-            aux_dim: e.aux_dim,
-            hidden: e.hidden,
+            model,
+            e: model.export(),
         }
     }
 
-    /// Bytes of packed weight storage (excludes biases).
-    pub fn weight_bytes(&self) -> usize {
-        let stage = |s: &Stage| std::mem::size_of_val(s.w.data());
-        stage(&self.trunk) + self.heads.iter().map(stage).sum::<usize>()
+    /// The model this plan serves — its GNN, DAE and scalers compute the
+    /// static embedding of a kernel the cache does not hold.
+    pub(crate) fn model(&self) -> &'a FusionModel {
+        self.model
     }
 
     /// Total trunk input width (static prefix + scaled aux).
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.e.in_dim
     }
 
     /// Width of the scaled dynamic-feature suffix (0 when static-only).
     pub fn aux_dim(&self) -> usize {
-        self.aux_dim
+        self.e.aux_dim
     }
 
     /// Width of the per-kernel static embedding prefix.
     pub fn static_dim(&self) -> usize {
-        self.in_dim - self.aux_dim
+        self.e.in_dim - self.e.aux_dim
     }
 
     /// Trunk hidden width.
     pub fn hidden(&self) -> usize {
-        self.hidden
+        self.e.hidden
     }
 
     /// Class counts per head.
     pub fn head_sizes(&self) -> &[usize] {
-        &self.head_sizes
+        self.e.head_sizes
     }
 
     /// Number of classification heads.
     pub fn num_heads(&self) -> usize {
-        self.heads.len()
+        self.e.heads.len()
     }
 
     /// Widest head — sizes the shared logits scratch buffer.
     pub fn max_classes(&self) -> usize {
-        self.head_sizes.iter().copied().max().unwrap_or(0)
+        self.e.head_sizes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Whether every trunk and head weight and bias is finite.
+    pub(crate) fn weights_finite(&self) -> bool {
+        let e = &self.e;
+        [e.trunk_w, e.trunk_b]
+            .into_iter()
+            .chain(e.heads.iter().flat_map(|&(w, b)| [w, b]))
+            .all(|t| t.data().iter().all(|v| v.is_finite()))
     }
 
     /// Scale one raw dynamic-feature row into `dst` (length
-    /// [`InferencePlan::aux_dim`]) by [`MinMaxScaler::scale_into`], the
-    /// rule `FusionModel::prepare` uses too: a wrong-width or non-finite
-    /// row is imputed to the scaled mid-range (0.5) and counted under
+    /// [`InferencePlan::aux_dim`]) by
+    /// [`mga_nn::scaler::MinMaxScaler::scale_into`], the rule
+    /// `FusionModel::prepare` uses too: a wrong-width or non-finite row
+    /// is imputed to the scaled mid-range (0.5) and counted under
     /// `serve.degraded_aux`.
     pub fn scale_aux_into(&self, dst: &mut [f32], raw: &[f32]) {
-        if let Some(scaler) = &self.aux_scaler {
+        if let Some(scaler) = self.e.aux_scaler {
             if scaler.scale_into(dst, raw) {
                 mga_obs::metrics::counter("serve.degraded_aux").inc();
             }
@@ -121,11 +101,17 @@ impl InferencePlan {
     /// is [`InferencePlan::heads_into`], a separate call so the serving
     /// engine can time the two stages apart.
     pub fn trunk_into(&self, x: &[f32], rows: usize, hidden: &mut [f32]) {
-        debug_assert!(x.len() >= rows * self.in_dim);
-        debug_assert!(hidden.len() >= rows * self.hidden);
-        let h = &mut hidden[..rows * self.hidden];
-        self.trunk
-            .forward(h, &x[..rows * self.in_dim], rows, FusedAct::Relu);
+        let (in_dim, width) = (self.e.in_dim, self.e.hidden);
+        debug_assert!(x.len() >= rows * in_dim);
+        debug_assert!(hidden.len() >= rows * width);
+        infer::fused_linear_into(
+            &mut hidden[..rows * width],
+            &x[..rows * in_dim],
+            rows,
+            self.e.trunk_w,
+            self.e.trunk_b,
+            FusedAct::Relu,
+        );
     }
 
     /// Run the trunk's `hidden` activations through every head, writing
@@ -145,15 +131,15 @@ impl InferencePlan {
         classes: &mut [usize],
         mut margins: Option<&mut [f32]>,
     ) {
-        debug_assert!(hidden.len() >= rows * self.hidden);
+        let nh = self.e.heads.len();
+        debug_assert!(hidden.len() >= rows * self.e.hidden);
         debug_assert!(logits.len() >= rows * self.max_classes());
-        debug_assert!(classes.len() >= rows * self.heads.len());
-        let h = &hidden[..rows * self.hidden];
-        let nh = self.heads.len();
-        for (hi, stage) in self.heads.iter().enumerate() {
-            let nc = self.head_sizes[hi];
+        debug_assert!(classes.len() >= rows * nh);
+        let h = &hidden[..rows * self.e.hidden];
+        for (hi, &(w, b)) in self.e.heads.iter().enumerate() {
+            let nc = self.e.head_sizes[hi];
             let lg = &mut logits[..rows * nc];
-            stage.forward(lg, h, rows, FusedAct::Identity);
+            infer::fused_linear_into(lg, h, rows, w, b, FusedAct::Identity);
             for r in 0..rows {
                 let row = &lg[r * nc..(r + 1) * nc];
                 match margins.as_deref_mut() {

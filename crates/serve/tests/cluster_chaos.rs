@@ -5,8 +5,7 @@
 //!    reroute, never drop.
 //! 2. Every refusal is typed — queue-full, deadline, shard-down,
 //!    unknown-kernel/head all come back as [`ServeError`] variants, and
-//!    sheds/redirects land in the admission flight ring with
-//!    [`Disposition`] tags.
+//!    sheds and redirects are counted.
 //! 3. Everything replays — a failure scenario (kill shard i at tick t;
 //!    probabilistic MGA_FAULT crash/stall/misdirect scripts) re-run from
 //!    scratch produces a bitwise-identical response checksum.
@@ -33,8 +32,8 @@ use mga_gnn::GnnConfig;
 use mga_kernels::catalog::openmp_thread_dataset;
 use mga_obs::fault;
 use mga_serve::{
-    load_candidate, Cluster, ClusterConfig, Disposition, Health, Request, Response, Router,
-    ServeConfig, ServeError, SwapError,
+    load_candidate, Cluster, ClusterConfig, Health, Response, Router, ServeConfig, ServeError,
+    SwapError,
 };
 use mga_sim::cpu::CpuSpec;
 use mga_sim::openmp::thread_space;
@@ -139,14 +138,6 @@ fn train_data(c: &'static Ctx) -> TrainData<'static> {
     c.task.train_data(&c.ds)
 }
 
-fn request(data: &TrainData<'_>, id: u64, i: usize) -> Request {
-    Request {
-        id,
-        kernel: data.sample_kernel[i],
-        aux: data.aux[i].clone(),
-    }
-}
-
 fn cluster_cfg(shards: usize, queue_capacity: usize) -> ClusterConfig {
     ClusterConfig {
         shards,
@@ -157,13 +148,26 @@ fn cluster_cfg(shards: usize, queue_capacity: usize) -> ClusterConfig {
             cache_capacity: 16,
             ..ServeConfig::default()
         },
-        ..ClusterConfig::default()
     }
 }
 
 fn fnv(h: &mut u64, v: u64) {
     *h ^= v;
     *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+/// FNV-1a-32 of `bytes`: a checkpoint section's `crc=`.
+fn fnv1a_32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| {
+        (h ^ b as u32).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// FNV-1a-64 of `bytes`: a checkpoint file's `[crc]` seal.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Outcome of one scripted chaos run.
@@ -207,7 +211,7 @@ fn run_script(c: &'static Ctx, kill: Option<(usize, u64)>) -> RunResult {
     let steps = 2 * n;
     for step in 0..steps {
         let i = step % n;
-        match cluster.submit(request(&data, step as u64, i), None) {
+        match cluster.submit_slice(step as u64, data.sample_kernel[i], &data.aux[i], None) {
             Ok(_) => {}
             Err(_) => shed += 1,
         }
@@ -308,27 +312,22 @@ fn fault_injected_scenarios_replay_and_never_lose_requests() {
         );
     }
 
-    // Misdirect must actually misdirect: redirects recorded and counted.
+    // Misdirect must actually misdirect: every admission is a redirect.
     let before = mga_obs::metrics::counter("serve.redirect_total").get();
     fault::set_spec("route:misdirect:1.0:7").expect("valid spec");
     let data = train_data(c);
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(4, 16));
     for i in 0..8usize {
         cluster
-            .submit(request(&data, i as u64, i % c.ds.samples.len()), None)
+            .submit_slice(i as u64, data.sample_kernel[i], &data.aux[i], None)
             .expect("admitted despite misdirect");
     }
     fault::clear();
-    assert!(
-        mga_obs::metrics::counter("serve.redirect_total").get() >= before + 8,
-        "every misdirected admission counts as a redirect"
+    assert_eq!(
+        mga_obs::metrics::counter("serve.redirect_total").get(),
+        before + 8,
+        "every misdirected admission counts as one redirect"
     );
-    let redirected = cluster
-        .admission_flight()
-        .iter()
-        .filter(|r| r.disposition == Disposition::Redirected)
-        .count();
-    assert_eq!(redirected, 8, "admission flight records each misdirect");
     cluster.flush();
     cluster.drain(&mut Vec::new());
     assert_eq!(cluster.accepted_total(), cluster.answered_total());
@@ -379,7 +378,7 @@ fn hot_swap_is_zero_drop_and_rolls_back_on_rejection() {
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(1, 64));
     for i in 0..6usize {
         cluster
-            .submit(request(&data, i as u64, i % n), None)
+            .submit_slice(i as u64, data.sample_kernel[i % n], &data.aux[i % n], None)
             .expect("admit");
     }
     assert_eq!(cluster.queue_depth(0), 6);
@@ -414,7 +413,7 @@ fn hot_swap_is_zero_drop_and_rolls_back_on_rejection() {
     );
     for i in 6..10usize {
         cluster
-            .submit(request(&data, i as u64, i % n), None)
+            .submit_slice(i as u64, data.sample_kernel[i % n], &data.aux[i % n], None)
             .expect("admit");
     }
     cluster.flush();
@@ -439,6 +438,36 @@ fn hot_swap_is_zero_drop_and_rolls_back_on_rejection() {
     }
 }
 
+/// Only sealed checkpoints reach a swap: a v1 file, whose sections
+/// carry no `crc=` and which has no `[crc]` seal, is a typed load
+/// rejection, whatever bytes it holds.
+#[test]
+fn load_candidate_rejects_unsealed_v1_checkpoints() {
+    let _g = lock();
+    let c = ctx();
+    let data = train_data(c);
+    let v1: String = persist::save_model(&c.model_v2, 16, data.aux[0].len())
+        .lines()
+        .filter(|l| !l.starts_with("[crc] "))
+        .map(|l| {
+            let l = l.replace("mga-model v2", "mga-model v1");
+            match l.find(" crc=") {
+                Some(i) => format!("{}\n", &l[..i]),
+                None => format!("{l}\n"),
+            }
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("mga_chaos_v1_{}.ckpt", std::process::id()));
+    std::fs::write(&path, v1).expect("write v1 candidate");
+    let loaded = load_candidate(&path);
+    std::fs::remove_file(&path).ok();
+    match loaded {
+        Err(SwapError::Load(_)) => {}
+        Err(other) => panic!("a v1 candidate must be a load rejection, got {other}"),
+        Ok(_) => panic!("a v1 candidate must not load"),
+    }
+}
+
 /// A candidate whose trunk or head parameters are NaN is a typed probe
 /// rejection, though one probe input alone would not expose it: ReLU
 /// maps NaN to 0, the matmul skips weight rows that meet a zero input,
@@ -448,30 +477,32 @@ fn swap_rejects_candidates_with_non_finite_weights() {
     let _g = lock();
     let c = ctx();
     let data = train_data(c);
-    // A v1 checkpoint (no crc tokens, no [crc] seal) loads without
-    // integrity checks, so a rewritten parameter line reaches the model.
-    let v1: Vec<String> = persist::save_model(&c.model, 16, data.aux[0].len())
-        .lines()
-        .filter(|l| !l.starts_with("[crc] "))
-        .map(|l| {
-            let l = l.replace("mga-model v2", "mga-model v1");
-            match l.find(" crc=") {
-                Some(i) => l[..i].to_string(),
-                None => l,
-            }
-        })
-        .collect();
+    // Poison one parameter line of a checkpoint text, then re-seal it the
+    // way the writer does, so the NaNs pass the integrity checks and
+    // reach the model: the section's FNV-1a-32 covers its payload lines,
+    // each followed by `\n`; the file's FNV-1a-64 covers every byte
+    // before the `[crc]` line.
+    let saved = persist::save_model(&c.model, 16, data.aux[0].len());
     let poisoned: Vec<(&str, FusionModel)> = ["trunk.w", "trunk.b", "head0.w", "head0.b"]
         .into_iter()
         .map(|param| {
-            let mut text = v1.clone();
-            let header = text
+            let mut lines: Vec<String> = saved.lines().map(str::to_string).collect();
+            let header = lines
                 .iter()
                 .position(|l| l.starts_with(&format!("[param] {param} ")))
                 .expect("parameter section");
-            let nans = vec!["7fc00000"; text[header + 1].split_whitespace().count()];
-            text[header + 1] = nans.join(" ");
-            let model = persist::load_model(&(text.join("\n") + "\n")).expect("v1 text loads");
+            let nans = vec!["7fc00000"; lines[header + 1].split_whitespace().count()].join(" ");
+            let crc = fnv1a_32(format!("{nans}\n").as_bytes());
+            let at = lines[header].find(" crc=").expect("section checksum");
+            lines[header] = format!("{} crc={crc:08x}", &lines[header][..at]);
+            lines[header + 1] = nans;
+            let seal = lines
+                .iter()
+                .position(|l| l.starts_with("[crc] "))
+                .expect("file seal");
+            let body: String = lines[..seal].iter().map(|l| format!("{l}\n")).collect();
+            let text = format!("{body}[crc] {:016x}\nend\n", fnv1a_64(body.as_bytes()));
+            let model = persist::load_model(&text).expect("re-sealed text loads");
             (param, model)
         })
         .collect();
@@ -491,8 +522,7 @@ fn swap_rejects_candidates_with_non_finite_weights() {
 }
 
 /// Overload and malformed requests shed at the door with typed errors,
-/// matching dispositions in the admission flight ring, and the shed
-/// counter grows. Accepted work is still fully answered.
+/// and the shed counter grows. Accepted work is still fully answered.
 #[test]
 fn typed_sheds_cover_queue_full_deadline_shard_down_and_unknowns() {
     let _g = lock();
@@ -507,7 +537,7 @@ fn typed_sheds_cover_queue_full_deadline_shard_down_and_unknowns() {
     let mut admitted = 0;
     let mut queue_full = 0;
     for i in 0..6usize {
-        match cluster.submit(request(&data, i as u64, i % n), None) {
+        match cluster.submit_slice(i as u64, data.sample_kernel[i % n], &data.aux[i % n], None) {
             Ok(_) => admitted += 1,
             Err(ServeError::QueueFull {
                 depth, capacity, ..
@@ -526,7 +556,7 @@ fn typed_sheds_cover_queue_full_deadline_shard_down_and_unknowns() {
     // Deadline: an empty partial batch waits max_wait_ticks — a deadline
     // of "now" is unmeetable; "now + 10" is fine.
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(2, 16));
-    match cluster.submit(request(&data, 0, 0), Some(cluster.now())) {
+    match cluster.submit_slice(0, data.sample_kernel[0], &data.aux[0], Some(cluster.now())) {
         Err(ServeError::DeadlineExceeded {
             deadline_tick: 0,
             estimated_tick,
@@ -534,32 +564,26 @@ fn typed_sheds_cover_queue_full_deadline_shard_down_and_unknowns() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     cluster
-        .submit(request(&data, 1, 0), Some(cluster.now() + 10))
+        .submit_slice(
+            1,
+            data.sample_kernel[0],
+            &data.aux[0],
+            Some(cluster.now() + 10),
+        )
         .expect("slack deadline admits");
 
     // Shard-down: a fully-dead cluster sheds with the owner named.
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(1, 16));
     cluster.kill_shard(0);
     assert_eq!(cluster.health(0), Health::Down);
-    match cluster.submit(request(&data, 0, 0), None) {
+    match cluster.submit_slice(0, data.sample_kernel[0], &data.aux[0], None) {
         Err(ServeError::ShardDown { shard: 0 }) => {}
         other => panic!("expected ShardDown, got {other:?}"),
     }
-    let sheds: Vec<Disposition> = cluster
-        .admission_flight()
-        .iter()
-        .map(|r| r.disposition)
-        .collect();
-    assert_eq!(sheds, vec![Disposition::ShedShardDown]);
 
     // Unknown kernel (cluster and engine) and unknown task head.
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(2, 16));
-    let bad = Request {
-        id: 0,
-        kernel: data.graphs.len(),
-        aux: data.aux[0].clone(),
-    };
-    match cluster.submit(bad, None) {
+    match cluster.submit_slice(0, data.graphs.len(), &data.aux[0], None) {
         Err(ServeError::UnknownKernel { kernel, catalog }) => {
             assert_eq!(kernel, catalog);
         }
@@ -607,7 +631,9 @@ fn stalls_degrade_then_recover_and_gauges_publish() {
     let data = train_data(c);
     let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(2, 16));
     cluster.stall_shard(0, 2);
-    cluster.submit(request(&data, 0, 0), None).ok();
+    cluster
+        .submit_slice(0, data.sample_kernel[0], &data.aux[0], None)
+        .ok();
     cluster.tick();
     assert_eq!(
         cluster.health(0),
@@ -647,7 +673,12 @@ fn cluster_steady_state_allocates_nothing_and_gauges_publish() {
     for pass in 0..3u64 {
         for i in 0..n {
             cluster
-                .submit(request(&data, pass * n as u64 + i as u64, i), None)
+                .submit_slice(
+                    pass * n as u64 + i as u64,
+                    data.sample_kernel[i],
+                    &data.aux[i],
+                    None,
+                )
                 .expect("admit");
             if i % 4 == 3 {
                 cluster.tick();
@@ -663,7 +694,12 @@ fn cluster_steady_state_allocates_nothing_and_gauges_publish() {
         .collect();
     for i in 0..2 * n {
         cluster
-            .submit(request(&data, 1_000_000 + i as u64, i % n), None)
+            .submit_slice(
+                1_000_000 + i as u64,
+                data.sample_kernel[i % n],
+                &data.aux[i % n],
+                None,
+            )
             .expect("admit");
         if i % 4 == 3 {
             cluster.tick();
@@ -681,7 +717,12 @@ fn cluster_steady_state_allocates_nothing_and_gauges_publish() {
     // Leave a backlog queued so the depth gauges carry real values.
     for i in 0..6usize {
         cluster
-            .submit(request(&data, 2_000_000 + i as u64, i % n), None)
+            .submit_slice(
+                2_000_000 + i as u64,
+                data.sample_kernel[i % n],
+                &data.aux[i % n],
+                None,
+            )
             .expect("admit");
     }
     cluster.publish_metrics();

@@ -16,7 +16,8 @@ use mga_gnn::GnnConfig;
 use mga_kernels::catalog::openmp_thread_dataset;
 use mga_obs::drift::{DriftConfig, DriftKind};
 use mga_obs::metrics;
-use mga_serve::{Engine, FlightRecorder, Request, Response, ServeConfig};
+use mga_serve::flight::FLIGHT_CAPACITY;
+use mga_serve::{Engine, FlightRecorder, Response, ServeConfig};
 use mga_sim::cpu::CpuSpec;
 use mga_sim::openmp::thread_space;
 use proptest::prelude::*;
@@ -79,12 +80,11 @@ fn engine_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn request(data: &TrainData<'_>, i: usize) -> Request {
-    Request {
-        id: i as u64,
-        kernel: data.sample_kernel[i],
-        aux: data.aux[i].clone(),
-    }
+/// Submit sample `i` as request `i`.
+fn submit(engine: &mut Engine<'_>, data: &TrainData<'_>, i: usize) {
+    engine
+        .submit_slice(i as u64, data.sample_kernel[i], &data.aux[i])
+        .expect("admit");
 }
 
 /// FNV-1a over every observable byte of a response stream.
@@ -114,7 +114,7 @@ fn run_script(engine: &mut Engine<'_>, data: &TrainData<'_>, seed: u64) -> Vec<R
     let n = data.sample_kernel.len();
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        engine.submit(request(data, i)).expect("admit");
+        submit(engine, data, i);
         if rng.gen_bool(0.4) {
             engine.tick();
         }
@@ -184,10 +184,10 @@ fn flight_records_match_responses_and_allocate_nothing() {
     let c = ctx();
     let data = train_data(c);
     let n = data.sample_kernel.len();
+    assert!(n <= FLIGHT_CAPACITY, "the ring must hold every request");
     let cfg = ServeConfig {
         max_batch: 4,
         max_wait_ticks: 1,
-        flight_capacity: 2 * n, // big enough: nothing overwritten
         ..ServeConfig::default()
     };
     let mut engine = Engine::new(&c.model, data.graphs, data.vectors, cfg);
@@ -244,7 +244,7 @@ fn queue_depth_gauge_follows_the_queue() {
             .expect("gauge registered")
     };
     for i in 0..3 {
-        engine.submit(request(&data, i)).expect("admit");
+        submit(&mut engine, &data, i);
         assert_eq!(read(), (i + 1) as f64, "gauge updates on submit");
     }
     engine.flush();
@@ -263,7 +263,7 @@ fn count_metrics_are_log2_histograms() {
     let data = train_data(c);
     let mut engine = Engine::new(&c.model, data.graphs, data.vectors, ServeConfig::default());
     for i in 0..3 {
-        engine.submit(request(&data, i)).expect("admit");
+        submit(&mut engine, &data, i);
     }
     engine.flush();
     let snap = metrics::snapshot();
@@ -314,7 +314,7 @@ fn drift_replay_fires_at_exact_tick() {
         // kernel id is i (catalog order), guaranteeing first-sight.
         for k in 0..6usize.min(kernels) {
             let i = data.sample_kernel.iter().position(|&sk| sk == k).unwrap();
-            engine.submit(request(&data, i)).expect("admit");
+            submit(&mut engine, &data, i);
             engine.tick();
         }
         engine.drift_events().to_vec()

@@ -15,7 +15,7 @@ use mga_dae::DaeConfig;
 use mga_gnn::GnnConfig;
 use mga_graph::ProGraph;
 use mga_kernels::catalog::openmp_thread_dataset;
-use mga_serve::{Engine, Request, Response, ServeConfig};
+use mga_serve::{Engine, Response, ServeConfig};
 use mga_sim::cpu::CpuSpec;
 use mga_sim::openmp::thread_space;
 use proptest::prelude::*;
@@ -79,12 +79,11 @@ fn train_data(c: &'static Ctx) -> TrainData<'static> {
     c.task.train_data(&c.ds)
 }
 
-fn request(data: &TrainData<'_>, i: usize) -> Request {
-    Request {
-        id: i as u64,
-        kernel: data.sample_kernel[i],
-        aux: data.aux[i].clone(),
-    }
+/// Submit sample `i` as request `i`.
+fn submit(engine: &mut Engine<'_>, data: &TrainData<'_>, i: usize) {
+    engine
+        .submit_slice(i as u64, data.sample_kernel[i], &data.aux[i])
+        .expect("admit");
 }
 
 /// Run `idx` through the engine with a submit/tick interleave driven by
@@ -97,7 +96,7 @@ fn serve_all(
 ) -> Vec<Response> {
     let mut out = Vec::with_capacity(idx.len());
     for &i in idx {
-        engine.submit(request(data, i)).expect("admit");
+        submit(engine, data, i);
         if rng.gen_bool(0.4) {
             engine.tick();
         }
@@ -384,8 +383,8 @@ fn batching_policy_is_tick_deterministic() {
     let mut engine = Engine::new(&c.model, data.graphs, data.vectors, cfg);
 
     // Partial batch: 2 requests at tick 0 wait until tick 3.
-    engine.submit(request(&data, 0)).expect("admit");
-    engine.submit(request(&data, 1)).expect("admit");
+    submit(&mut engine, &data, 0);
+    submit(&mut engine, &data, 1);
     assert_eq!(engine.tick(), 0, "tick 1: still waiting");
     assert_eq!(engine.tick(), 0, "tick 2: still waiting");
     assert_eq!(engine.tick(), 2, "tick 3: wait policy fires");
@@ -393,7 +392,7 @@ fn batching_policy_is_tick_deterministic() {
 
     // Full batch: 4 requests dispatch on the very next tick.
     for i in 0..4 {
-        engine.submit(request(&data, i)).expect("admit");
+        submit(&mut engine, &data, i);
     }
     assert_eq!(engine.tick(), 4, "full batch dispatches immediately");
 }
@@ -419,9 +418,7 @@ fn steady_state_serving_allocates_zero_arena_bytes() {
     let mut out = Vec::new();
     for round in 0..6 {
         for i in 0..4usize {
-            engine
-                .submit(request(&data, (round * 4 + i) % idx.len()))
-                .expect("admit");
+            submit(&mut engine, &data, (round * 4 + i) % idx.len());
         }
         engine.tick();
         engine.flush();
